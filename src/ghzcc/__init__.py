@@ -9,6 +9,7 @@ exists at length 3.
 from .bitcore import (
     BitString,
     FunctionTable,
+    InvariantViolation,
     PromiseTriple,
     PromiseViolation,
     enumerate_promise,

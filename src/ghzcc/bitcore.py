@@ -23,6 +23,13 @@ class PromiseViolation(ValueError):
     """An (x, y, z) triple breaks the bitwise column promise."""
 
 
+class InvariantViolation(Exception):
+    """A law the package checks while it runs does not hold.
+
+    Raised explicitly rather than through `assert`, which `python -O` strips.
+    """
+
+
 @dataclass(frozen=True)
 class BitString:
     """Fixed-length binary word; bit i (1-indexed) is stored at 1 << (i-1)."""

@@ -185,7 +185,7 @@ def _verify_lemma1(report: Report) -> None:
             state = qsim.transformed_state(column)
             parities = {b.count("1") & 1 for b in qsim.support(state)}
             ok = parities == {product}
-        except AssertionError:
+        except bitcore.InvariantViolation:
             ok = False
             product = -1
             parities = set()
@@ -427,7 +427,9 @@ def _build_parser() -> argparse.ArgumentParser:
             "adaptive two-bit space; ip3: two-party inner-product and parity facts"
         ),
     )
-    search.add_argument("--workers", type=int, default=1)
+    search.add_argument(
+        "--workers", type=int, default=1, help="accepted and echoed; searches run in-process"
+    )
     search.add_argument("--seed", type=int, default=0)
 
     replay = sub.add_parser("replay", help="replay the elimination cases")

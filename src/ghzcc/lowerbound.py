@@ -10,8 +10,10 @@ Two independent routes to the same fact:
 
 * exhaustive searches over the deterministic protocol spaces (broadcast +
   response, full adaptive two-bit blackboard, and the two-party spaces for
-  the imported inner-product/parity facts), packed as bitmask fibers so the
-  whole space is decided exactly at desk scale.
+  the imported inner-product/parity facts), all counted by one in-process
+  engine whose valid-message bitmaps have a closed form, so the whole
+  space is decided exactly at desk scale; a direct fiber loop is the
+  independent oracle.
 
 Length-3 words are handled as ints 0..7 whose binary digits read position 1
 first ("011" <-> 3); the constraint z = x XOR y XOR 111 and the target
@@ -21,9 +23,9 @@ f = XOR_i (x_i AND y_i AND z_i) are bitwise, so the packing is free.
 from __future__ import annotations
 
 import itertools
-import multiprocessing
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .bitcore import BitString, FunctionTable, PromiseTriple, f_ghz, inner_product_table
@@ -519,70 +521,110 @@ def case_cover_check() -> CoverageReport:
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive searches (bitmask-packed fibers)
+# Exhaustive searches: one fiber-counting engine
 # ---------------------------------------------------------------------------
 
-# Row masks over y of the game value for each receiver input x.
-_F_ROW = tuple(
-    sum(f3(x, y) << y for y in range(8)) for x in range(8)
-)
+
+@lru_cache(maxsize=None)
+def _submask_bitmap(free: int) -> int:
+    """Bitmap with bit u set for every submask u of `free`."""
+    if not free:
+        return 1
+    low = free & -free
+    rest = _submask_bitmap(free ^ low)
+    return rest | rest << low
 
 
-def _const_on(sub: int, x: int) -> bool:
-    """Is the game value constant over the y-subset `sub` for receiver input x?"""
-    hits = sub & _F_ROW[x]
-    return hits == 0 or hits == sub
+@lru_cache(maxsize=None)
+def _split_bitmap(row: int, s: int, full: int) -> int:
+    """Bitmap over message masks m <= full that split s into two f-constant fibers.
 
-
-_TABLES: dict | None = None
-
-
-def _tables() -> dict:
-    """Pullback and valid-message tables, built once per process.
-
-    pull[x][zmask] is the y-subset whose forced z lands in zmask.
-    valid_y[x][s] / valid_z[x][s] are 256-bit bitmaps: bit m is set when the
-    one-bit message function with mask m (over y, resp. over z) splits the
-    y-subset s into two answer-constant fibers for receiver input x.
+    If f is constant on s, every message works. Otherwise m is valid exactly
+    when m & s is s & row or s minus row; the bits of m outside s are free.
     """
-    global _TABLES
-    if _TABLES is not None:
-        return _TABLES
-    pull = [[0] * 256 for _ in range(8)]
-    for x in range(8):
-        t = x ^ ALL3
-        for zmask in range(256):
-            m = 0
-            rest = zmask
-            while rest:
-                z = (rest & -rest).bit_length() - 1
-                m |= 1 << (z ^ t)
-                rest &= rest - 1
-            pull[x][zmask] = m
-    const = [[_const_on(sub, x) for sub in range(256)] for x in range(8)]
-    valid_y = [[0] * 256 for _ in range(8)]
-    valid_z = [[0] * 256 for _ in range(8)]
-    for x in range(8):
-        cx = const[x]
-        px = pull[x]
-        vy = valid_y[x]
-        vz = valid_z[x]
-        for s in range(256):
-            acc_y = 0
-            acc_z = 0
-            for m in range(256):
-                if cx[s & m] and cx[s & ~m & 255]:
-                    acc_y |= 1 << m
-                pm = px[m]
-                if cx[s & pm] and cx[s & ~pm & 255]:
-                    acc_z |= 1 << m
-            vy[s] = acc_y
-            vz[s] = acc_z
-    _TABLES = {"pull": pull, "valid_y": valid_y, "valid_z": valid_z}
-    return _TABLES
+    hits = s & row
+    if hits in (0, s):
+        return (1 << (full + 1)) - 1
+    free = _submask_bitmap(full & ~s)
+    return free << hits | free << (s ^ hits)
 
 
-_FULL_BITMAP = (1 << 256) - 1
+@dataclass(frozen=True)
+class _Game:
+    """A promise game as the receiver A sees it, packed for fiber counting.
+
+    The receiver holds x; y indexes the rest of the input, and rows[x] is the
+    y-mask on which f = 1. Every party writes subset masks over its own word:
+    pulls[speaker][x][m] is the y-subset on which the speaker writes 1 under
+    mask m, given x. The receiver's pull is None, because her bit depends on
+    x alone. More parties mean more pulls; the counting does not change.
+    """
+
+    rows: tuple[int, ...]
+    pulls: Mapping[str, tuple[Sequence[int], ...] | None]
+    full: int  # the all-y mask; message masks run over 0..full
+    memo: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def class_masks(self, speaker: str, fn_mask: int, bit: int) -> tuple[int, ...]:
+        """Per-x y-subsets consistent with `speaker` writing `bit` via fn_mask."""
+        mask = fn_mask if bit else ~fn_mask & self.full
+        pull = self.pulls[speaker]
+        if pull is None:
+            return tuple(self.full if (mask >> x) & 1 else 0 for x in range(len(self.rows)))
+        return tuple(p[mask] for p in pull)
+
+    def valid_bitmap(self, speaker: str, x: int, s: int) -> int:
+        """Second messages of `speaker` leaving f constant on both fibers of s at x."""
+        row = self.rows[x]
+        pull = self.pulls[speaker]
+        if pull is None:  # one fiber, s itself: valid on all messages or none
+            return (1 << (self.full + 1)) - 1 if (s & row) in (0, s) else 0
+        # The pull is a bijection of points, so split in the speaker's own terms.
+        return _split_bitmap(pull[x][row], pull[x][s], self.full)
+
+    def branch_counts(self, ys: tuple[int, ...], speakers: Sequence[str]) -> tuple[int, ...]:
+        """Valid second-message counts per speaker, given per-x consistent sets."""
+        counts = []
+        for speaker in speakers:
+            count = self.memo.get((speaker, ys))
+            if count is None:
+                bitmap = -1
+                for x, s in enumerate(ys):
+                    bitmap &= self.valid_bitmap(speaker, x, s)
+                    if not bitmap:
+                        break
+                count = self.memo[speaker, ys] = bitmap.bit_count()
+            counts.append(count)
+        return tuple(counts)
+
+
+def _xor_pull(t: int) -> tuple[int, ...]:
+    """pull[m] = {v ^ t : v in m} for every subset mask m of 3-bit words."""
+    pull = [0] * 256
+    for m in range(1, 256):
+        low = m & -m
+        pull[m] = pull[m ^ low] | 1 << ((low.bit_length() - 1) ^ t)
+    return tuple(pull)
+
+
+@lru_cache(maxsize=None)
+def _ghz_game() -> _Game:
+    # Carol's word is z = x ^ y ^ 111, so her pull is an involution.
+    rows = tuple(sum(f3(x, y) << y for y in range(8)) for x in range(8))
+    carol = tuple(_xor_pull(x ^ ALL3) for x in range(8))
+    return _Game(rows, {"A": None, "B": (range(256),) * 8, "C": carol}, 255)
+
+
+def _two_party_game(table: FunctionTable) -> _Game:
+    """The receiver holds the first word; rows[x] masks the second words with f = 1."""
+    if table.arity != 2:
+        raise ValueError(f"need a two-party table, got arity {table.arity}")
+    words = [BitString.from_index(v, table.length) for v in range(1 << table.length)]
+    rows = tuple(
+        sum(table.value(wx, wy) << vy for vy, wy in enumerate(words)) for wx in words
+    )
+    size = len(words)
+    return _Game(rows, {"A": None, "B": (range(1 << size),) * size}, (1 << size) - 1)
 
 
 @dataclass(frozen=True)
@@ -595,6 +637,40 @@ class SearchResult:
     breakdown: Mapping[tuple[str, str, str], int] | None = None
 
 
+def _count_protocols(
+    name: str, game: _Game, first: Sequence[str], second: Sequence[str], workers: int
+) -> SearchResult:
+    """Count correct two-bit protocols, per (first, second if 0, second if 1).
+
+    A `first` speaker writes bit one; the second writer (from `second`) and
+    its message may depend on that bit. The two branches constrain disjoint
+    transcripts, so for a fixed first message the count is the product of
+    the branches' valid-second-message counts, which the game memoises.
+    `workers` is checked and echoed only: the pass runs in this process.
+    """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    start = time.perf_counter()
+    fn_count = game.full + 1
+    breakdown = {(a, b, c): 0 for a in first for b in second for c in second}
+    for sp1 in first:
+        for m1 in range(fn_count):
+            counts0 = game.branch_counts(game.class_masks(sp1, m1, 0), second)
+            counts1 = game.branch_counts(game.class_masks(sp1, m1, 1), second)
+            for sp2_0, n0 in zip(second, counts0):
+                if n0:
+                    for sp2_1, n1 in zip(second, counts1):
+                        breakdown[sp1, sp2_0, sp2_1] += n0 * n1
+    return SearchResult(
+        name=name,
+        feasible=sum(breakdown.values()),
+        candidates=len(first) * fn_count * (len(second) * fn_count) ** 2,
+        elapsed_s=time.perf_counter() - start,
+        workers=workers,
+        breakdown=breakdown,
+    )
+
+
 def carol_response_count(y_class: Iterable[int]) -> int:
     """How many one-bit z-message functions serve a fixed broadcast class.
 
@@ -602,38 +678,10 @@ def carol_response_count(y_class: Iterable[int]) -> int:
     value is constant on both fibers of the class under z -> m-bit. This is
     the enumeration-side counterpart of the 2-coloring feasibility check.
     """
-    tables = _tables()
     class_mask = 0
     for y in y_class:
         class_mask |= 1 << _as_value(y)
-    bitmap = _FULL_BITMAP
-    for x in range(8):
-        bitmap &= tables["valid_z"][x][class_mask]
-        if not bitmap:
-            break
-    return bitmap.bit_count()
-
-
-def _broadcast_range(bounds: tuple[int, int]) -> int:
-    lo, hi = bounds
-    tables = _tables()
-    valid_z = tables["valid_z"]
-    side_count: dict[int, int] = {}
-
-    def n_side(class_mask: int) -> int:
-        cached = side_count.get(class_mask)
-        if cached is None:
-            bitmap = _FULL_BITMAP
-            for x in range(8):
-                bitmap &= valid_z[x][class_mask]
-            cached = bitmap.bit_count()
-            side_count[class_mask] = cached
-        return cached
-
-    feasible = 0
-    for phi in range(lo, hi):
-        feasible += n_side(~phi & 255) * n_side(phi)
-    return feasible
+    return _ghz_game().branch_counts((class_mask,) * 8, ("C",))[0]
 
 
 def search_bob_broadcast_carol(workers: int = 1) -> SearchResult:
@@ -641,84 +689,13 @@ def search_bob_broadcast_carol(workers: int = 1) -> SearchResult:
 
     Bob broadcasts phi(y); Carol answers psi(z, broadcast bit). A pair is
     correct when for every receiver input and transcript the game value is
-    constant over the consistent completions. The two psi halves act on
-    disjoint transcripts, so the count for a fixed phi is the product of the
-    per-class response counts.
+    constant over the consistent completions. This is the B-C/C pattern of
+    the blackboard count.
     """
-    start = time.perf_counter()
-    chunks = _split_range(256, workers)
-    if workers > 1 and len(chunks) > 1:
-        _tables()  # build before forking so children inherit
-        with multiprocessing.Pool(workers) as pool:
-            feasible = sum(pool.map(_broadcast_range, chunks))
-    else:
-        feasible = sum(_broadcast_range(c) for c in chunks)
-    return SearchResult(
-        name="bob_broadcast_carol",
-        feasible=feasible,
-        candidates=256 * 65536,
-        elapsed_s=time.perf_counter() - start,
-        workers=workers,
-    )
+    return _count_protocols("bob_broadcast_carol", _ghz_game(), ("B",), ("C",), workers)
 
 
 _SPEAKERS = ("A", "B", "C")
-
-
-def _class_masks_by_x(speaker: str, fn_mask: int, bit: int, pull) -> tuple[int, ...]:
-    """Per-x y-subsets consistent with `speaker` announcing `bit` via fn_mask."""
-    if speaker == "A":
-        return tuple(255 if ((fn_mask >> x) & 1) == bit else 0 for x in range(8))
-    if speaker == "B":
-        mask = fn_mask if bit else ~fn_mask & 255
-        return (mask,) * 8
-    zmask = fn_mask if bit else ~fn_mask & 255
-    return tuple(pull[x][zmask] for x in range(8))
-
-
-def _second_bit_counts(ys: tuple[int, ...], tables) -> tuple[int, int, int]:
-    """Valid second-message counts (speaker A, B, C) given per-x consistent sets."""
-    n_a = 256 if all(_const_on(ys[x], x) for x in range(8)) else 0
-    bitmap_b = _FULL_BITMAP
-    bitmap_c = _FULL_BITMAP
-    valid_y = tables["valid_y"]
-    valid_z = tables["valid_z"]
-    for x in range(8):
-        bitmap_b &= valid_y[x][ys[x]]
-        bitmap_c &= valid_z[x][ys[x]]
-    return n_a, bitmap_b.bit_count(), bitmap_c.bit_count()
-
-
-def _blackboard_range(bounds: tuple[int, int]) -> tuple[int, dict]:
-    lo, hi = bounds
-    tables = _tables()
-    pull = tables["pull"]
-    memo: dict[tuple[int, ...], tuple[int, int, int]] = {}
-
-    def counts_for(ys: tuple[int, ...]) -> tuple[int, int, int]:
-        cached = memo.get(ys)
-        if cached is None:
-            cached = _second_bit_counts(ys, tables)
-            memo[ys] = cached
-        return cached
-
-    feasible = 0
-    breakdown: dict[tuple[str, str, str], int] = {}
-    for flat in range(lo, hi):
-        sp1 = _SPEAKERS[flat >> 8]
-        m1 = flat & 255
-        counts0 = counts_for(_class_masks_by_x(sp1, m1, 0, pull))
-        counts1 = counts_for(_class_masks_by_x(sp1, m1, 1, pull))
-        for i0, sp2_0 in enumerate(_SPEAKERS):
-            if not counts0[i0]:
-                continue
-            for i1, sp2_1 in enumerate(_SPEAKERS):
-                product = counts0[i0] * counts1[i1]
-                if product:
-                    key = (sp1, sp2_0, sp2_1)
-                    breakdown[key] = breakdown.get(key, 0) + product
-        feasible += sum(counts0) * sum(counts1)
-    return feasible, breakdown
 
 
 def search_blackboard_two_bit(workers: int = 1) -> SearchResult:
@@ -731,36 +708,7 @@ def search_blackboard_two_bit(workers: int = 1) -> SearchResult:
     them all at once. The breakdown reports the count per
     (first speaker, second speaker if 0, second speaker if 1) pattern.
     """
-    start = time.perf_counter()
-    chunks = _split_range(3 * 256, workers)
-    if workers > 1 and len(chunks) > 1:
-        _tables()
-        with multiprocessing.Pool(workers) as pool:
-            parts = pool.map(_blackboard_range, chunks)
-    else:
-        parts = [_blackboard_range(c) for c in chunks]
-    feasible = sum(p[0] for p in parts)
-    breakdown: dict[tuple[str, str, str], int] = {
-        (a, b, c): 0 for a in _SPEAKERS for b in _SPEAKERS for c in _SPEAKERS
-    }
-    for _, part_breakdown in parts:
-        for key, count in part_breakdown.items():
-            breakdown[key] += count
-    per_branch = 3 * 256
-    return SearchResult(
-        name="blackboard_two_bit",
-        feasible=feasible,
-        candidates=per_branch * per_branch * per_branch,
-        elapsed_s=time.perf_counter() - start,
-        workers=workers,
-        breakdown=breakdown,
-    )
-
-
-def _split_range(size: int, workers: int) -> list[tuple[int, int]]:
-    chunks = max(1, min(workers, size))
-    step = -(-size // chunks)
-    return [(lo, min(lo + step, size)) for lo in range(0, size, step)]
+    return _count_protocols("blackboard_two_bit", _ghz_game(), _SPEAKERS, _SPEAKERS, workers)
 
 
 @dataclass(frozen=True)
@@ -778,9 +726,7 @@ class ProtocolCandidate:
     second_fns: tuple[int, int]
 
     def __post_init__(self) -> None:
-        if self.first_speaker not in _SPEAKERS:
-            raise ValueError(f"unknown speaker {self.first_speaker!r}")
-        for sp in self.second_speakers:
+        for sp in (self.first_speaker, *self.second_speakers):
             if sp not in _SPEAKERS:
                 raise ValueError(f"unknown speaker {sp!r}")
         for fn in (self.first_fn, *self.second_fns):
@@ -788,24 +734,33 @@ class ProtocolCandidate:
                 raise ValueError(f"message function mask {fn} outside 0..255")
 
 
+def _fibers_constant(size: int, value, transcript) -> bool:
+    """Is value(x, y) constant on every (x, transcript(x, y)) fiber?
+
+    A direct loop with no bitmaps: the independent oracle for the engine.
+    """
+    for x in range(size):
+        seen: dict = {}
+        for y in range(size):
+            v = value(x, y)
+            if seen.setdefault(transcript(x, y), v) != v:
+                return False
+    return True
+
+
 def candidate_feasible(candidate: ProtocolCandidate) -> bool:
     """Direct fiber check for one explicit candidate (no bitmask machinery).
 
     Used as an independent oracle against the packed search counting.
     """
-    for x in range(8):
-        seen: dict[tuple[int, int], int] = {}
-        for y in range(8):
-            z = third_word(x, y)
-            words = {"A": x, "B": y, "C": z}
-            b1 = (candidate.first_fn >> words[candidate.first_speaker]) & 1
-            sp2 = candidate.second_speakers[b1]
-            b2 = (candidate.second_fns[b1] >> words[sp2]) & 1
-            value = f3(x, y)
-            prior = seen.setdefault((b1, b2), value)
-            if prior != value:
-                return False
-    return True
+
+    def transcript(x: int, y: int) -> tuple[int, int]:
+        words = {"A": x, "B": y, "C": third_word(x, y)}
+        b1 = (candidate.first_fn >> words[candidate.first_speaker]) & 1
+        sp2 = candidate.second_speakers[b1]
+        return b1, (candidate.second_fns[b1] >> words[sp2]) & 1
+
+    return _fibers_constant(8, f3, transcript)
 
 
 def three_bit_messages_feasible() -> bool:
@@ -816,38 +771,17 @@ def three_bit_messages_feasible() -> bool:
     (x, transcript) fiber, which certifies that a three-bit budget is
     attainable in the same model the two-bit search exhausts.
     """
-    for x in range(8):
-        seen: dict[tuple[int, int], int] = {}
-        for y in range(8):
-            z = third_word(x, y)
-            rb_mod4 = (3 - y.bit_count()) & 3
-            rc_high = ((3 - z.bit_count()) & 3) >> 1
-            value = f3(x, y)
-            prior = seen.setdefault((rb_mod4, rc_high), value)
-            if prior != value:
-                return False
-    return True
+
+    def transcript(x: int, y: int) -> tuple[int, int]:
+        z = third_word(x, y)
+        return (3 - y.bit_count()) & 3, ((3 - z.bit_count()) & 3) >> 1
+
+    return _fibers_constant(8, f3, transcript)
 
 
 # ---------------------------------------------------------------------------
 # Two-party searches (the imported inner-product and parity facts)
 # ---------------------------------------------------------------------------
-
-
-def _table_rows(table: FunctionTable) -> list[int]:
-    """Row masks over the second word's values for each first-word value."""
-    if table.arity != 2:
-        raise ValueError(f"need a two-party table, got arity {table.arity}")
-    n = table.length
-    size = 1 << n
-    rows = [0] * size
-    for vx in range(size):
-        wx = BitString.from_index(vx, n)
-        for vy in range(size):
-            wy = BitString.from_index(vy, n)
-            if table.value(wx, wy):
-                rows[vx] |= 1 << vy
-    return rows
 
 
 def search_two_party_two_bit(table: FunctionTable, workers: int = 1) -> SearchResult:
@@ -857,100 +791,28 @@ def search_two_party_two_bit(table: FunctionTable, workers: int = 1) -> SearchRe
     depend on the first bit; the receiver (who holds the first word) must
     end up with f constant on every (input, transcript) fiber.
     """
-    del workers  # single pass; kept for interface symmetry
-    start = time.perf_counter()
-    n = table.length
-    if n > 3:
-        raise ValueError(f"two-bit search supports length <= 3, got {n}")
-    size = 1 << n
-    fn_count = 1 << size
-    full = fn_count - 1  # all-y subset mask
-    full_bitmap = (1 << fn_count) - 1
-    rows = _table_rows(table)
-
-    def const_on(sub: int, vx: int) -> bool:
-        hits = sub & rows[vx]
-        return hits == 0 or hits == sub
-
-    # valid[vx][s]: bitmap over second-message masks m splitting s into
-    # f-constant fibers for receiver input vx.
-    valid = [[0] * fn_count for _ in range(size)]
-    for vx in range(size):
-        for s in range(fn_count):
-            acc = 0
-            for m in range(fn_count):
-                if const_on(s & m, vx) and const_on(s & ~m & full, vx):
-                    acc |= 1 << m
-            valid[vx][s] = acc
-
-    def second_counts(ys: Sequence[int]) -> int:
-        n_a = fn_count if all(const_on(ys[vx], vx) for vx in range(size)) else 0
-        bitmap = full_bitmap
-        for vx in range(size):
-            bitmap &= valid[vx][ys[vx]]
-        return n_a + bitmap.bit_count()
-
-    memo: dict[tuple[int, ...], int] = {}
-
-    def counts_for(ys: tuple[int, ...]) -> int:
-        cached = memo.get(ys)
-        if cached is None:
-            cached = second_counts(ys)
-            memo[ys] = cached
-        return cached
-
-    feasible = 0
-    for first_speaker in ("A", "B"):
-        for m1 in range(fn_count):
-            sides = []
-            for bit in (0, 1):
-                if first_speaker == "A":
-                    ys = tuple(
-                        full if ((m1 >> vx) & 1) == bit else 0 for vx in range(size)
-                    )
-                else:
-                    mask = m1 if bit else ~m1 & full
-                    ys = (mask,) * size
-                sides.append(counts_for(ys))
-            feasible += sides[0] * sides[1]
-    per_branch = 2 * fn_count
-    return SearchResult(
-        name="two_party_two_bit",
-        feasible=feasible,
-        candidates=per_branch * per_branch * per_branch,
-        elapsed_s=time.perf_counter() - start,
-        workers=1,
-    )
+    if table.length > 3:
+        raise ValueError(f"two-bit search supports length <= 3, got {table.length}")
+    game = _two_party_game(table)
+    return _count_protocols("two_party_two_bit", game, ("A", "B"), ("A", "B"), workers)
 
 
 def search_two_party_one_bit(table: FunctionTable) -> SearchResult:
-    """Count correct one-bit two-party protocols for a tabulated f."""
+    """Count correct one-bit two-party protocols for a tabulated f.
+
+    The one bit is a second message after nothing: sender B must split every
+    row into f-constant fibers, and sender A only works (with any of her
+    masks) if f is already determined by her own word.
+    """
     start = time.perf_counter()
-    n = table.length
-    if n > 4:
-        raise ValueError(f"one-bit search supports length <= 4, got {n}")
-    size = 1 << n
-    fn_count = 1 << size
-    full = fn_count - 1
-    rows = _table_rows(table)
-
-    def const_on(sub: int, vx: int) -> bool:
-        hits = sub & rows[vx]
-        return hits == 0 or hits == sub
-
-    feasible = 0
-    # Sender B: the bit must split every row into f-constant fibers.
-    for m in range(fn_count):
-        if all(const_on(m, vx) and const_on(~m & full, vx) for vx in range(size)):
-            feasible += 1
-    # Sender A: the bit tells the receiver nothing; f must already be
-    # determined by her own word, in which case any of the fn_count masks works.
-    if all(const_on(full, vx) for vx in range(size)):
-        feasible += fn_count
+    if table.length > 4:
+        raise ValueError(f"one-bit search supports length <= 4, got {table.length}")
+    game = _two_party_game(table)
+    counts = game.branch_counts((game.full,) * len(game.rows), ("A", "B"))
     return SearchResult(
         name="two_party_one_bit",
-        feasible=feasible,
-        candidates=2 * fn_count,
+        feasible=sum(counts),
+        candidates=2 * (game.full + 1),
         elapsed_s=time.perf_counter() - start,
         workers=1,
     )
@@ -958,24 +820,11 @@ def search_two_party_one_bit(table: FunctionTable) -> SearchResult:
 
 def send_all_bits_feasible(table: FunctionTable) -> bool:
     """Fiber check for the n-bit protocol where B sends his whole word."""
-    rows = _table_rows(table)
-    size = 1 << table.length
-    for vx in range(size):
-        for vy in range(size):
-            fiber = 1 << vy  # the transcript pins y exactly
-            hits = fiber & rows[vx]
-            if hits not in (0, fiber):
-                return False
-    return True
+    rows = _two_party_game(table).rows
+    return _fibers_constant(len(rows), lambda x, y: (rows[x] >> y) & 1, lambda x, y: y)
 
 
 def search_two_party_ip3(workers: int = 1) -> SearchResult:
     """Two-bit search for the length-3 inner product (expected count: 0)."""
     result = search_two_party_two_bit(inner_product_table(3), workers=workers)
-    return SearchResult(
-        name="two_party_ip3",
-        feasible=result.feasible,
-        candidates=result.candidates,
-        elapsed_s=result.elapsed_s,
-        workers=result.workers,
-    )
+    return replace(result, name="two_party_ip3")

@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
-from .bitcore import BitString, PromiseTriple, f_ghz, f_inner_product
+from .bitcore import BitString, InvariantViolation, PromiseTriple, f_ghz, f_inner_product
 from .qsim import outcome_distribution, sample_outcome, transformed_state
 
 BROADCAST = "*"
@@ -87,9 +87,10 @@ class CountSummary:
     k: int
 
     def __post_init__(self) -> None:
-        assert self.r_a + self.r_b + self.r_c == 2 * self.k, (
-            f"zero counts {self.r_a}+{self.r_b}+{self.r_c} != 2*{self.k}"
-        )
+        if self.r_a + self.r_b + self.r_c != 2 * self.k:
+            raise InvariantViolation(
+                f"zero counts {self.r_a}+{self.r_b}+{self.r_c} != 2*{self.k}"
+            )
 
 
 def count_summary(t: PromiseTriple) -> CountSummary:
@@ -108,13 +109,15 @@ def run_protocol(
     records = []
     for step in steps:
         bit = step.fn(inputs[step.sender], tuple(received[step.sender]))
-        assert bit in (0, 1), f"{step.sender} produced a non-bit {bit!r}"
+        if bit not in (0, 1):
+            raise InvariantViolation(f"{step.sender} produced a non-bit {bit!r}")
         records.append(Message(step.sender, step.audience, bit))
         for party in received:
             if party != step.sender and step.audience in (party, BROADCAST):
                 received[party].append(bit)
     output = output_fn(inputs[output_party], tuple(received[output_party]))
-    assert output in (0, 1)
+    if output not in (0, 1):
+        raise InvariantViolation(f"{output_party} produced a non-bit output {output!r}")
     return RunResult(
         output=output,
         transcript=Transcript(tuple(records)),
@@ -231,7 +234,7 @@ def run_classical_three_bit(t: PromiseTriple) -> RunResult:
     From the sum mod 4 Alice gets the parity of the AND-zero column count k
     and outputs (n - k) mod 2.
     """
-    summary = count_summary(t)  # also asserts r_A + r_B + r_C = 2k
+    summary = count_summary(t)  # also checks r_A + r_B + r_C = 2k
     inputs = {"A": t.x, "B": t.y, "C": t.z}
 
     def bob_high(word, _received):
@@ -250,7 +253,8 @@ def run_classical_three_bit(t: PromiseTriple) -> RunResult:
         rc_low = (r_a + rb_mod4) & 1
         rc_mod4 = (received[2] << 1) | rc_low
         doubled_k_mod4 = (r_a + rb_mod4 + rc_mod4) & 3
-        assert doubled_k_mod4 & 1 == 0, "zero-count total must be even on the promise"
+        if doubled_k_mod4 & 1:
+            raise InvariantViolation("zero-count total must be even on the promise")
         k_parity = doubled_k_mod4 >> 1
         return (n - k_parity) & 1
 
@@ -288,7 +292,8 @@ def run_classical_count(t: PromiseTriple) -> RunResult:
         for bit in received[width:]:
             r_c = (r_c << 1) | bit
         total = word.count_zeros() + r_b + r_c
-        assert total % 2 == 0
+        if total % 2:
+            raise InvariantViolation(f"zero-count total {total} is odd")
         k = total // 2
         return (word.length - k) & 1
 

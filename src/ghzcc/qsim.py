@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from .bitcore import InvariantViolation
+
 PARTIES = ("A", "B", "C")
 # Basis strings are read b_A b_B b_C, so party A owns the high bit.
 _PARTY_BIT = {"A": 4, "B": 2, "C": 1}
@@ -149,7 +151,7 @@ def check_lemma1(column: tuple[int, int, int]) -> int:
 
     Every basis string that can be measured (nonzero amplitude) after the
     conditional Hadamards has bit-XOR equal to the AND of the column. Returns
-    that AND; an assertion failure means the simulator itself is broken.
+    that AND; an InvariantViolation means the simulator itself is broken.
     """
     xa, xb, xc = column
     if column not in ((0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 1, 1)):
@@ -157,9 +159,10 @@ def check_lemma1(column: tuple[int, int, int]) -> int:
     target = xa & xb & xc
     for b in support(transformed_state(column)):
         got = b.count("1") & 1
-        assert got == target, (
-            f"support string {b} has parity {got}, expected {target} for column {column}"
-        )
+        if got != target:
+            raise InvariantViolation(
+                f"support string {b} has parity {got}, expected {target} for column {column}"
+            )
     return target
 
 
@@ -172,7 +175,9 @@ def outcome_distribution(state: TripleState) -> tuple[Outcome, ...]:
         if prob > 0:
             bits = ((i >> 2) & 1, (i >> 1) & 1, i & 1)
             outcomes.append(Outcome(bits, prob))
-    assert sum(o.probability for o in outcomes) == 1
+    total = sum(o.probability for o in outcomes)
+    if total != 1:
+        raise InvariantViolation(f"outcome probabilities sum to {total}, not 1")
     return tuple(outcomes)
 
 

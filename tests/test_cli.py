@@ -3,10 +3,12 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from ghzcc import cli, qsim
+from ghzcc.bitcore import InvariantViolation
 from ghzcc.cli import (
     EXIT_CHECK_FAILED,
     EXIT_OK,
@@ -182,7 +184,7 @@ class TestMainEntry:
 
     def test_verification_failure_exits_1(self, monkeypatch, capsys):
         def broken(column):
-            raise AssertionError("forced failure for the exit-code contract")
+            raise InvariantViolation("forced failure for the exit-code contract")
 
         monkeypatch.setattr(qsim, "check_lemma1", broken)
         assert main(["verify", "--scope", "lemma1"]) == EXIT_CHECK_FAILED
@@ -196,3 +198,26 @@ class TestMainEntry:
         )
         assert proc.returncode == 0
         assert "summary: PASS" in proc.stdout
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "argv,golden",
+    [
+        (["search", "--scope", "paper", "--workers", "1", "--seed", "0"], "search_paper.jsonl"),
+        (
+            ["search", "--scope", "blackboard", "--workers", "1", "--seed", "0"],
+            "search_blackboard.jsonl",
+        ),
+        (["search", "--scope", "ip3", "--workers", "1", "--seed", "0"], "search_ip3.jsonl"),
+        (["replay"], "replay.jsonl"),
+    ],
+)
+def test_machine_report_matches_golden(argv, golden, capsys):
+    # Every line but the trailing timing record is fixed by the parameters.
+    assert main(argv + ["--format", "machine"]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines(keepends=True)
+    assert json.loads(lines[-1])["type"] == "timing"
+    assert "".join(lines[:-1]) == (GOLDEN / golden).read_text(encoding="utf-8")

@@ -7,11 +7,13 @@ partition, and the factorized two-party counting against a plain brute force
 on instances with nonzero counts.
 """
 
+import multiprocessing
 import random
 
 import pytest
 
 from ghzcc.bitcore import PromiseTriple, f_ghz, inner_product_table, parity_table
+from ghzcc.cli import SEARCH_SCOPES, cmd_search
 from ghzcc.lowerbound import (
     CASES,
     PartitionOfCube,
@@ -267,17 +269,17 @@ class TestBlackboardSearch:
         # The search multiplies per-branch valid-second-message counts, which
         # are usually nonzero even though the products always vanish. Check a
         # sample of branches against a naive loop with no bitmap tables.
-        from ghzcc.lowerbound import _class_masks_by_x, _second_bit_counts, _tables
+        from ghzcc.lowerbound import _ghz_game
 
-        tables = _tables()
+        game = _ghz_game()
         rng = random.Random(17)
         branch_totals = []
         for _ in range(20):
             sp1 = rng.choice("ABC")
             m1 = rng.randrange(256)
             b = rng.randrange(2)
-            ys = _class_masks_by_x(sp1, m1, b, tables["pull"])
-            packed = _second_bit_counts(ys, tables)
+            ys = game.class_masks(sp1, m1, b)
+            packed = game.branch_counts(ys, ("A", "B", "C"))
             naive = _naive_second_counts(sp1, m1, b)
             assert packed == naive, (sp1, m1, b)
             branch_totals.append(sum(naive))
@@ -389,3 +391,70 @@ def _pair(vx: int, vy: int, n: int):
     from ghzcc.bitcore import BitString
 
     return BitString.from_index(vx, n), BitString.from_index(vy, n)
+
+
+def _reference_valid_bitmap(row: int, pull, s: int) -> int:
+    """The nested-loop definition of a valid second message, with no closed form.
+
+    Bit m is set when both fibers of the y-subset s under message m are
+    f-constant; pull[m] is the y-subset on which message m writes 1, and f = 1
+    exactly on the y-mask `row`.
+    """
+    constant = [(sub & row) in (0, sub) for sub in range(256)]
+    bitmap = 0
+    for m in range(256):
+        ones = pull[m]
+        if constant[s & ones] and constant[s & ~ones & 255]:
+            bitmap |= 1 << m
+    return bitmap
+
+
+class TestClosedFormBitmaps:
+    def test_three_party_views(self):
+        from ghzcc.lowerbound import _ghz_game
+
+        game = _ghz_game()
+        for x in range(8):
+            row = sum(f3(x, y) << y for y in range(8))
+            carol_pull = [
+                sum(1 << y for y in range(8) if (zmask >> third_word(x, y)) & 1)
+                for zmask in range(256)
+            ]
+            for speaker, pull in (("B", range(256)), ("C", carol_pull)):
+                for s in range(256):
+                    expected = _reference_valid_bitmap(row, pull, s)
+                    assert game.valid_bitmap(speaker, x, s) == expected, (speaker, x, s)
+
+    @pytest.mark.parametrize("make_table", [inner_product_table, parity_table])
+    def test_two_party_rows(self, make_table):
+        from ghzcc.lowerbound import _two_party_game
+
+        table = make_table(3)
+        game = _two_party_game(table)
+        for vx in range(8):
+            row = sum(table.value(*_pair(vx, vy, 3)) << vy for vy in range(8))
+            for s in range(256):
+                expected = _reference_valid_bitmap(row, range(256), s)
+                assert game.valid_bitmap("B", vx, s) == expected, (vx, s)
+
+
+class TestNoProcessPool:
+    def test_searches_and_cli_start_no_processes(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise RuntimeError("a search tried to start a worker process")
+
+        monkeypatch.setattr(multiprocessing, "Pool", refuse)
+        monkeypatch.setattr(multiprocessing.Process, "start", refuse)
+        assert search_bob_broadcast_carol(workers=4).feasible == 0
+        assert search_blackboard_two_bit(workers=4).feasible == 0
+        assert search_two_party_ip3(workers=4).feasible == 0
+        for scope in SEARCH_SCOPES:
+            report = cmd_search(scope, workers=4, seed=0)
+            assert report.passed, scope
+            assert report.params["workers"] == 4
+
+    def test_workers_below_one_rejected(self):
+        for search in (search_bob_broadcast_carol, search_blackboard_two_bit,
+                       search_two_party_ip3):
+            with pytest.raises(ValueError):
+                search(workers=0)

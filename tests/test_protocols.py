@@ -1,12 +1,17 @@
 """Protocol runs: correctness against direct evaluation, costs, and audits."""
 
 import dataclasses
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import ghzcc
 from ghzcc.bitcore import (
     BitString,
+    InvariantViolation,
     PromiseTriple,
     enumerate_promise,
     f_ghz,
@@ -168,8 +173,26 @@ class TestCountingIdentity:
             count_summary(random_promise_triple(32, rng))
 
     def test_summary_rejects_odd_total(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(InvariantViolation):
             CountSummary(1, 1, 1, 1)
+
+    def test_summary_check_survives_optimized_mode(self):
+        # python -O strips assert statements; the identity check must remain.
+        src = os.path.dirname(os.path.dirname(ghzcc.__file__))
+        code = (
+            "from ghzcc.bitcore import InvariantViolation\n"
+            "from ghzcc.protocols import CountSummary\n"
+            "try:\n"
+            "    CountSummary(1, 1, 1, 5)\n"
+            "except InvariantViolation:\n"
+            "    print('rejected')\n"
+        )
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "rejected\n"
 
 
 class TestTwoPartyBaselines:
