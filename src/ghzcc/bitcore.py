@@ -48,11 +48,7 @@ class BitString:
         """Parse "011"-style text, position 1 first."""
         if not text or set(text) - {"0", "1"}:
             raise ValueError(f"not a binary string: {text!r}")
-        bits = 0
-        for i, ch in enumerate(text):
-            if ch == "1":
-                bits |= 1 << i
-        return cls(len(text), bits)
+        return cls(len(text), int(text[::-1], 2))
 
     @classmethod
     def from_index(cls, value: int, length: int) -> "BitString":
@@ -65,10 +61,11 @@ class BitString:
         return (self.bits >> (i - 1)) & 1
 
     def __iter__(self) -> Iterator[int]:
-        return (self.bit(i) for i in range(1, self.length + 1))
+        bits = self.bits
+        return ((bits >> i) & 1 for i in range(self.length))
 
     def __str__(self) -> str:
-        return "".join(str(b) for b in self)
+        return format(self.bits, f"0{self.length}b")[::-1]
 
     @property
     def index(self) -> int:
@@ -118,11 +115,9 @@ class PromiseTriple:
     def length(self) -> int:
         return self.x.length
 
-    def column(self, i: int) -> tuple[int, int, int]:
-        return (self.x.bit(i), self.y.bit(i), self.z.bit(i))
-
     def columns(self) -> Iterator[tuple[int, int, int]]:
-        return (self.column(i) for i in range(1, self.length + 1))
+        x, y, z = self.x.bits, self.y.bits, self.z.bits
+        return (((x >> i) & 1, (y >> i) & 1, (z >> i) & 1) for i in range(self.length))
 
     def __str__(self) -> str:
         return f"(x={self.x}, y={self.y}, z={self.z})"
@@ -198,30 +193,30 @@ def enumerate_promise(n: int) -> Iterator[PromiseTriple]:
     """
     if not 1 <= n <= MAX_ENUM_LENGTH:
         raise ValueError(f"n must be in 1..{MAX_ENUM_LENGTH}, got {n}")
-    total = 4**n
-    for combo in range(total):
-        xb = yb = zb = 0
-        rest = combo
+    all_ones = (1 << n) - 1
+    for combo in range(4**n):
+        xb = yb = 0
         for i in range(n):
-            # Column i+1 is the most significant base-4 digit first.
-            code = (rest >> (2 * (n - 1 - i))) & 3
-            cx, cy, cz = LEGAL_COLUMNS[code]
-            xb |= cx << i
-            yb |= cy << i
-            zb |= cz << i
-        yield PromiseTriple(BitString(n, xb), BitString(n, yb), BitString(n, zb))
+            # Column i+1 is the most significant base-4 digit first; see
+            # random_promise_triple for the code's bits.
+            code = (combo >> (2 * (n - 1 - i))) & 3
+            xb |= (code >> 1) << i
+            yb |= (code & 1) << i
+        yield PromiseTriple(BitString(n, xb), BitString(n, yb), BitString(n, all_ones ^ xb ^ yb))
 
 
 def random_promise_triple(n: int, rng) -> PromiseTriple:
     """Uniform random promise triple: each column drawn from LEGAL_COLUMNS."""
     if not 1 <= n <= MAX_LENGTH:
         raise ValueError(f"n must be in 1..{MAX_LENGTH}, got {n}")
-    xb = yb = zb = 0
+    # LEGAL_COLUMNS[c] has x_i = c >> 1 and y_i = c & 1; z follows from the promise.
+    xb = yb = 0
+    draw = rng.randrange
     for i in range(n):
-        cx, cy, cz = LEGAL_COLUMNS[rng.randrange(4)]
-        xb |= cx << i
-        yb |= cy << i
-        zb |= cz << i
+        code = draw(4)
+        xb |= (code >> 1) << i
+        yb |= (code & 1) << i
+    zb = ((1 << n) - 1) ^ xb ^ yb
     return PromiseTriple(BitString(n, xb), BitString(n, yb), BitString(n, zb))
 
 

@@ -54,47 +54,36 @@ class Report:
         self.info.append(entry)
 
 
+_SCALARS = (str, int, float, bool, type(None))
+
+
 def _jsonable(value: Any) -> Any:
+    if isinstance(value, _SCALARS):
+        return value
     if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
+        return {
+            str(k): v if isinstance(v, _SCALARS) else _jsonable(v) for k, v in value.items()
+        }
     if isinstance(value, (list, tuple, set, frozenset)):
         items = sorted(value, key=str) if isinstance(value, (set, frozenset)) else value
         return [_jsonable(v) for v in items]
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
     return str(value)
 
 
+# json.dumps(..., sort_keys=True) without a new encoder per line; no cycles.
+_encode = json.JSONEncoder(sort_keys=True, check_circular=False).encode
+
+
 def render_machine(report: Report) -> str:
-    lines = [
-        json.dumps(
-            {
-                "type": "header",
-                "schema": report.schema,
-                "command": report.command,
-                "params": _jsonable(report.params),
-            },
-            sort_keys=True,
-        )
-    ]
-    for entry in report.info:
-        lines.append(json.dumps({"type": "info", **_jsonable(entry)}, sort_keys=True))
-    for entry in report.checks:
-        lines.append(json.dumps({"type": "check", **_jsonable(entry)}, sort_keys=True))
+    records = [{"type": "header", "schema": report.schema, "command": report.command,
+                "params": _jsonable(report.params)}]
+    records += ({"type": "info", **_jsonable(entry)} for entry in report.info)
+    records += ({"type": "check", **_jsonable(entry)} for entry in report.checks)
     failed = sum(1 for c in report.checks if not c["passed"])
-    lines.append(
-        json.dumps(
-            {
-                "type": "summary",
-                "passed": report.passed,
-                "checks": len(report.checks),
-                "failed": failed,
-            },
-            sort_keys=True,
-        )
-    )
-    lines.append(json.dumps({"type": "timing", "elapsed_s": round(report.elapsed_s, 6)}))
-    return "\n".join(lines) + "\n"
+    records.append({"type": "summary", "passed": report.passed,
+                    "checks": len(report.checks), "failed": failed})
+    timing = json.dumps({"type": "timing", "elapsed_s": round(report.elapsed_s, 6)})
+    return "\n".join([*map(_encode, records), timing]) + "\n"
 
 
 def render_text(report: Report) -> str:
@@ -131,16 +120,31 @@ def _compact(value: Any) -> str:
     return str(value)
 
 
-def _describe_run(report: Report, name: str, result: protocols.RunResult) -> None:
-    audit = protocols.audit_run(result)
-    report.note(
-        "run",
-        protocol=name,
-        output=result.output,
-        cost=result.cost,
-        transcript=str(result.transcript),
-        audit="pass" if audit.passed else "fail",
-    )
+# A law of the package failing at run time: the check it hits fails and names it.
+_FAULTS = (bitcore.InvariantViolation, qsim.ExactnessError)
+
+
+def _fault_text(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _attempt(run, *args) -> Any:
+    """The protocol run, or the fault that stopped it."""
+    try:
+        return run(*args)
+    except _FAULTS as exc:
+        return exc
+
+
+def _describe_run(report: Report, name: str, run: Any) -> list[str]:
+    """Note one run, audited once; return its audit failures."""
+    if isinstance(run, Exception):
+        report.note("run", protocol=name, error=_fault_text(run))
+        return [f"{name}: stopped by {_fault_text(run)}"]
+    audit = protocols.audit_run(run)
+    report.note("run", protocol=name, output=run.output, cost=run.cost,
+                transcript=str(run.transcript), audit="pass" if audit.passed else "fail")
+    return [f"{name}: {failure}" for failure in audit.failures]
 
 
 def cmd_demo(n: int, seed: int) -> Report:
@@ -152,57 +156,45 @@ def cmd_demo(n: int, seed: int) -> Report:
     direct = bitcore.f_ghz(t)
     report.note("input", x=str(t.x), y=str(t.y), z=str(t.z), direct_value=direct)
 
-    quantum = protocols.run_quantum_two_bit(t, rng)
-    three = protocols.run_classical_three_bit(t)
-    count = protocols.run_classical_count(t)
-    _describe_run(report, "quantum_two_bit", quantum)
-    _describe_run(report, "classical_three_bit", three)
-    _describe_run(report, "classical_count", count)
-
-    report.check("quantum_matches_direct", quantum.output == direct)
-    report.check("three_bit_matches_direct", three.output == direct)
-    report.check("count_matches_direct", count.output == direct)
-    report.check("quantum_cost_two", quantum.cost == 2, cost=quantum.cost)
-    report.check("three_bit_cost_three", three.cost == 3, cost=three.cost)
+    runs = {
+        "quantum_two_bit": _attempt(protocols.run_quantum_two_bit, t, rng),
+        "classical_three_bit": _attempt(protocols.run_classical_three_bit, t),
+        "classical_count": _attempt(protocols.run_classical_count, t),
+    }
+    failures = [f for name, run in runs.items() for f in _describe_run(report, name, run)]
+    # A stopped run is the exception itself: it has no output and no cost.
+    for check, run in zip(("quantum", "three_bit", "count"), runs.values()):
+        stop = {"triple": str(t), "error": _fault_text(run)} if isinstance(run, Exception) else {}
+        report.check(f"{check}_matches_direct", getattr(run, "output", None) == direct, **stop)
+    quantum, three, count = (getattr(run, "cost", None) for run in runs.values())
     width = n.bit_length()
-    report.check(
-        "count_cost_formula", count.cost == 2 * width, cost=count.cost, width=width
-    )
-    report.check(
-        "audits_pass",
-        all(protocols.audit_run(r).passed for r in (quantum, three, count)),
-    )
+    report.check("quantum_cost_two", quantum == 2, cost=quantum)
+    report.check("three_bit_cost_three", three == 3, cost=three)
+    report.check("count_cost_formula", count == 2 * width, cost=count, width=width)
+    _check(report, "audits_pass", failures or None)
     report.elapsed_s = time.perf_counter() - start
     return report
 
 
 def _verify_lemma1(report: Report) -> None:
-    legal = ((0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 1, 1))
-    for column in legal:
+    for column in bitcore.LEGAL_COLUMNS:
         label = "".join(str(b) for b in column)
+        detail: dict[str, Any] = {}
         try:
             product = qsim.check_lemma1(column)
-            state = qsim.transformed_state(column)
-            parities = {b.count("1") & 1 for b in qsim.support(state)}
-            ok = parities == {product}
-        except bitcore.InvariantViolation:
-            ok = False
-            product = -1
-            parities = set()
-        report.check(
-            f"lemma1_column_{label}",
-            ok,
-            product=product,
-            support=sorted(qsim.support(qsim.transformed_state(column))),
-        )
+            support = sorted(qsim.support(qsim.transformed_state(column)))
+            ok = {b.count("1") & 1 for b in support} == {product}
+        except _FAULTS as exc:
+            ok, product, support = False, -1, []
+            detail["error"] = _fault_text(exc)
+        report.check(f"lemma1_column_{label}", ok, product=product, support=support, **detail)
     # The 001 column must transform to the four-term state with support
     # {000, 011, 101, 110} and a minus sign only on 110.
-    state = qsim.transformed_state((0, 0, 1))
     expected = {0b000: (1, 0), 0b011: (1, 0), 0b101: (1, 0), 0b110: (-1, 0)}
-    exact = all(
-        state.amps[i] == expected.get(i, (0, 0)) for i in range(8)
-    )
-    report.check("lemma1_001_exact_amplitudes", exact)
+    state = _attempt(qsim.transformed_state, (0, 0, 1))
+    error = {"error": _fault_text(state)} if isinstance(state, Exception) else {}
+    exact = not error and all(state.amps[i] == expected.get(i, (0, 0)) for i in range(8))
+    report.check("lemma1_001_exact_amplitudes", exact, **error)
     involution = all(
         qsim.apply_hadamard(qsim.apply_hadamard(qsim.mermin_state(), p), p)
         == qsim.mermin_state()
@@ -211,44 +203,54 @@ def _verify_lemma1(report: Report) -> None:
     report.check("hadamard_involution", involution)
 
 
+def _fault(t, expected: int, cost: int, audit: bool, run, *args) -> dict | None:
+    """None if run(*args) outputs `expected` at `cost` bits and, if `audit`,
+    passes audit_run; else a witness naming t and why."""
+    result = _attempt(run, *args)
+    if isinstance(result, Exception):
+        return {"triple": str(t), "transcript": None, "reason": _fault_text(result)}
+    if result.output != expected:
+        reason = f"output {result.output}, expected {expected}"
+    elif result.cost != cost:
+        reason = f"cost {result.cost}, expected {cost}"
+    elif audit and not (verdict := protocols.audit_run(result)).passed:
+        reason = "audit: " + "; ".join(verdict.failures)
+    else:
+        return None
+    return {"triple": str(t), "transcript": str(result.transcript), "reason": reason}
+
+
+def _check(report: Report, name: str, witness: dict | None, **detail: Any) -> None:
+    """A check over many runs: it fails with the first failing run as witness."""
+    if witness:
+        detail["witness"] = witness
+    report.check(name, witness is None, **detail)
+
+
 def _verify_quantum(report: Report, n_max: int, seed: int) -> None:
     rng = random.Random(seed)
     for n in range(1, n_max + 1):
-        failures = 0
-        runs = 0
+        witness = None
         for t in bitcore.enumerate_promise(n):
             expected = bitcore.f_ghz(t)
             for _ in range(2):
-                result = protocols.run_quantum_two_bit(t, rng)
-                runs += 1
-                if (
-                    result.output != expected
-                    or result.cost != 2
-                    or not protocols.audit_run(result).passed
-                ):
-                    failures += 1
-        report.check(
-            f"quantum_exhaustive_n{n}", failures == 0, triples=4**n, runs=runs
-        )
+                fault = _fault(t, expected, 2, True, protocols.run_quantum_two_bit, t, rng)
+                witness = witness or fault
+        _check(report, f"quantum_exhaustive_n{n}", witness, triples=4**n, runs=2 * 4**n)
 
 
 def _verify_classical(report: Report, n_max: int) -> None:
     for n in range(1, n_max + 1):
         width = n.bit_length()
-        three_bad = 0
-        count_bad = 0
+        three = count = None
         for t in bitcore.enumerate_promise(n):
             expected = bitcore.f_ghz(t)
-            three = protocols.run_classical_three_bit(t)
-            if three.output != expected or three.cost != 3:
-                three_bad += 1
-            count = protocols.run_classical_count(t)
-            if count.output != expected or count.cost != 2 * width:
-                count_bad += 1
-        report.check(f"classical_three_bit_n{n}", three_bad == 0, triples=4**n)
-        report.check(
-            f"classical_count_n{n}", count_bad == 0, triples=4**n, cost=2 * width
-        )
+            fault = _fault(t, expected, 3, False, protocols.run_classical_three_bit, t)
+            three = three or fault
+            fault = _fault(t, expected, 2 * width, False, protocols.run_classical_count, t)
+            count = count or fault
+        _check(report, f"classical_three_bit_n{n}", three, triples=4**n)
+        _check(report, f"classical_count_n{n}", count, triples=4**n, cost=2 * width)
 
 
 def _verify_cases(report: Report) -> None:
@@ -292,24 +294,20 @@ def _pattern_label(key: tuple[str, str, str]) -> str:
     return f"{first}-{when0}/{when1}"
 
 
+def _search_zero(report: Report, result: lowerbound.SearchResult, check: str, **note: Any) -> None:
+    """Note a search result and check that no candidate is feasible."""
+    feasible, candidates = result.feasible, result.candidates
+    report.note("search", name=result.name, candidates=candidates, feasible=feasible, **note)
+    report.check(check, feasible == 0, feasible=feasible, candidates=candidates)
+
+
 def cmd_search(scope: str, workers: int, seed: int) -> Report:
     """Run the selected lower-bound search and report the feasible count."""
     start = time.perf_counter()
     report = Report("search", {"scope": scope, "workers": workers, "seed": seed})
     if scope == "paper":
         result = lowerbound.search_bob_broadcast_carol(workers=workers)
-        report.note(
-            "search",
-            name=result.name,
-            candidates=result.candidates,
-            feasible=result.feasible,
-        )
-        report.check(
-            "broadcast_response_zero_feasible",
-            result.feasible == 0,
-            feasible=result.feasible,
-            candidates=result.candidates,
-        )
+        _search_zero(report, result, "broadcast_response_zero_feasible")
         report.check(
             "three_bit_messages_feasible", lowerbound.three_bit_messages_feasible()
         )
@@ -318,19 +316,7 @@ def cmd_search(scope: str, workers: int, seed: int) -> Report:
         breakdown = {
             _pattern_label(k): v for k, v in (result.breakdown or {}).items()
         }
-        report.note(
-            "search",
-            name=result.name,
-            candidates=result.candidates,
-            feasible=result.feasible,
-            breakdown=breakdown,
-        )
-        report.check(
-            "blackboard_zero_feasible",
-            result.feasible == 0,
-            feasible=result.feasible,
-            candidates=result.candidates,
-        )
+        _search_zero(report, result, "blackboard_zero_feasible", breakdown=breakdown)
         alice_first = sum(
             v for k, v in (result.breakdown or {}).items() if k[0] == "A"
         )
@@ -339,18 +325,7 @@ def cmd_search(scope: str, workers: int, seed: int) -> Report:
         report.check("relay_b_then_c_zero_feasible", relay == 0)
     elif scope == "ip3":
         result = lowerbound.search_two_party_ip3(workers=workers)
-        report.note(
-            "search",
-            name=result.name,
-            candidates=result.candidates,
-            feasible=result.feasible,
-        )
-        report.check(
-            "ip3_two_bit_zero_feasible",
-            result.feasible == 0,
-            feasible=result.feasible,
-            candidates=result.candidates,
-        )
+        _search_zero(report, result, "ip3_two_bit_zero_feasible")
         report.check(
             "ip3_three_bit_feasible",
             lowerbound.send_all_bits_feasible(bitcore.inner_product_table(3)),

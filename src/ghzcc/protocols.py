@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Any, Callable, Mapping, Sequence
 
 from .bitcore import BitString, InvariantViolation, PromiseTriple, f_ghz, f_inner_product
@@ -98,6 +99,16 @@ def count_summary(t: PromiseTriple) -> CountSummary:
     return CountSummary(t.x.count_zeros(), t.y.count_zeros(), t.z.count_zeros(), k)
 
 
+def _deliver(received: dict[str, list[int]], sender: str, audience: str, bit: int) -> None:
+    """Add a sent bit to the view of each party it is addressed to, except the sender."""
+    if audience == BROADCAST:
+        for party, bits in received.items():
+            if party != sender:
+                bits.append(bit)
+    elif audience != sender and audience in received:
+        received[audience].append(bit)
+
+
 def run_protocol(
     inputs: Mapping[str, Any],
     steps: Sequence[SendStep],
@@ -108,13 +119,12 @@ def run_protocol(
     received: dict[str, list[int]] = {p: [] for p in inputs}
     records = []
     for step in steps:
-        bit = step.fn(inputs[step.sender], tuple(received[step.sender]))
+        sender = step.sender
+        bit = step.fn(inputs[sender], tuple(received[sender]))
         if bit not in (0, 1):
-            raise InvariantViolation(f"{step.sender} produced a non-bit {bit!r}")
-        records.append(Message(step.sender, step.audience, bit))
-        for party in received:
-            if party != step.sender and step.audience in (party, BROADCAST):
-                received[party].append(bit)
+            raise InvariantViolation(f"{sender} produced a non-bit {bit!r}")
+        records.append(Message(sender, step.audience, bit))
+        _deliver(received, sender, step.audience, bit)
     output = output_fn(inputs[output_party], tuple(received[output_party]))
     if output not in (0, 1):
         raise InvariantViolation(f"{output_party} produced a non-bit output {output!r}")
@@ -157,9 +167,7 @@ def audit_run(result: RunResult) -> AuditReport:
                 f"record {i}: bit {record.bit} is not reproducible from "
                 f"{step.sender}'s local view (expected {expected})"
             )
-        for party in received:
-            if party != record.sender and record.audience in (party, BROADCAST):
-                received[party].append(record.bit)
+        _deliver(received, record.sender, record.audience, record.bit)
     try:
         expected_out = result.output_fn(
             result.inputs[result.output_party], tuple(received[result.output_party])
@@ -176,10 +184,22 @@ def audit_run(result: RunResult) -> AuditReport:
 
 
 def _xor(bits: Sequence[int]) -> int:
-    acc = 0
-    for b in bits:
-        acc ^= b
-    return acc
+    """Parity of a sequence of 0/1 bits."""
+    return sum(bits) & 1
+
+
+def _send_measured_parity(local, _received):
+    return _xor(local[1])
+
+
+def _quantum_output(local, received):
+    return _xor(local[1]) ^ _xor(received)
+
+
+_QUANTUM_STEPS = (
+    SendStep("B", "A", _send_measured_parity),
+    SendStep("C", "A", _send_measured_parity),
+)
 
 
 def run_quantum_two_bit(t: PromiseTriple, rng) -> RunResult:
@@ -192,37 +212,41 @@ def run_quantum_two_bit(t: PromiseTriple, rng) -> RunResult:
     the measurement of an entangled triple; the dealt bits then count as part
     of each party's local input.
     """
-    sampled: dict[str, list[int]] = {"A": [], "B": [], "C": []}
-    for column in t.columns():
-        outcome = sample_outcome(transformed_state(column), rng)
-        sampled["A"].append(outcome.bits[0])
-        sampled["B"].append(outcome.bits[1])
-        sampled["C"].append(outcome.bits[2])
+    a, b, c = zip(*[sample_outcome(transformed_state(col), rng).bits for col in t.columns()])
+    sampled = {"A": a, "B": b, "C": c}
+    inputs = {"A": (t.x, a), "B": (t.y, b), "C": (t.z, c)}
     s = {p: _xor(bits) for p, bits in sampled.items()}
-    inputs = {
-        "A": (t.x, tuple(sampled["A"])),
-        "B": (t.y, tuple(sampled["B"])),
-        "C": (t.z, tuple(sampled["C"])),
-    }
-
-    def send_measured_parity(local, _received):
-        _word, bits = local
-        return _xor(bits)
-
-    def alice_output(local, received):
-        _word, bits = local
-        return _xor(bits) ^ _xor(received)
-
-    steps = (
-        SendStep("B", "A", send_measured_parity),
-        SendStep("C", "A", send_measured_parity),
-    )
     return run_protocol(
-        inputs,
-        steps,
-        alice_output,
-        local={"s": s, "sampled": {p: tuple(v) for p, v in sampled.items()}},
+        inputs, _QUANTUM_STEPS, _quantum_output, local={"s": s, "sampled": sampled}
     )
+
+
+def _high_count_bit(word, _received):
+    return (word.count_zeros() >> 1) & 1
+
+
+def _low_count_bit(word, _received):
+    return word.count_zeros() & 1
+
+
+def _three_bit_output(word, received):
+    n = word.length
+    r_a = word.count_zeros()
+    rb_mod4 = (received[0] << 1) | received[1]
+    rc_low = (r_a + rb_mod4) & 1
+    rc_mod4 = (received[2] << 1) | rc_low
+    doubled_k_mod4 = (r_a + rb_mod4 + rc_mod4) & 3
+    if doubled_k_mod4 & 1:
+        raise InvariantViolation("zero-count total must be even on the promise")
+    k_parity = doubled_k_mod4 >> 1
+    return (n - k_parity) & 1
+
+
+_THREE_BIT_STEPS = (
+    SendStep("B", "A", _high_count_bit),
+    SendStep("B", "A", _low_count_bit),
+    SendStep("C", "A", _high_count_bit),
+)
 
 
 def run_classical_three_bit(t: PromiseTriple) -> RunResult:
@@ -236,47 +260,12 @@ def run_classical_three_bit(t: PromiseTriple) -> RunResult:
     """
     summary = count_summary(t)  # also checks r_A + r_B + r_C = 2k
     inputs = {"A": t.x, "B": t.y, "C": t.z}
-
-    def bob_high(word, _received):
-        return (word.count_zeros() >> 1) & 1
-
-    def bob_low(word, _received):
-        return word.count_zeros() & 1
-
-    def carol_high(word, _received):
-        return (word.count_zeros() >> 1) & 1
-
-    def alice_output(word, received):
-        n = word.length
-        r_a = word.count_zeros()
-        rb_mod4 = (received[0] << 1) | received[1]
-        rc_low = (r_a + rb_mod4) & 1
-        rc_mod4 = (received[2] << 1) | rc_low
-        doubled_k_mod4 = (r_a + rb_mod4 + rc_mod4) & 3
-        if doubled_k_mod4 & 1:
-            raise InvariantViolation("zero-count total must be even on the promise")
-        k_parity = doubled_k_mod4 >> 1
-        return (n - k_parity) & 1
-
-    steps = (
-        SendStep("B", "A", bob_high),
-        SendStep("B", "A", bob_low),
-        SendStep("C", "A", carol_high),
-    )
-    return run_protocol(inputs, steps, alice_output, local={"counts": summary})
+    return run_protocol(inputs, _THREE_BIT_STEPS, _three_bit_output, local={"counts": summary})
 
 
-def run_classical_count(t: PromiseTriple) -> RunResult:
-    """Full-count protocol: Bob and Carol each send their zero count.
-
-    Counts go as fixed-width big-endian fields of ceil(log2(n+1)) bits, so
-    the cost is 2*ceil(log2(n+1)). Alice reconstructs k exactly and outputs
-    (n - k) mod 2.
-    """
-    summary = count_summary(t)
-    n = t.length
-    width = n.bit_length()  # ceil(log2(n+1)) for n >= 1
-    inputs = {"A": t.x, "B": t.y, "C": t.z}
+@lru_cache(maxsize=None)
+def _count_schedule(width: int) -> tuple:
+    """Send steps and Alice's output for counts sent as width-bit big-endian fields."""
 
     def count_bit(pos: int):
         def fn(word, _received):
@@ -302,6 +291,19 @@ def run_classical_count(t: PromiseTriple) -> RunResult:
         for party in ("B", "C")
         for pos in range(width - 1, -1, -1)
     )
+    return steps, alice_output
+
+
+def run_classical_count(t: PromiseTriple) -> RunResult:
+    """Full-count protocol: Bob and Carol each send their zero count.
+
+    Counts go as fixed-width big-endian fields of ceil(log2(n+1)) bits, so
+    the cost is 2*ceil(log2(n+1)). Alice reconstructs k exactly and outputs
+    (n - k) mod 2.
+    """
+    summary = count_summary(t)
+    steps, alice_output = _count_schedule(t.length.bit_length())
+    inputs = {"A": t.x, "B": t.y, "C": t.z}
     return run_protocol(inputs, steps, alice_output, local={"counts": summary})
 
 
@@ -351,13 +353,8 @@ def quantum_output_support(t: PromiseTriple) -> set[int]:
         [outcome.bits for outcome in outcome_distribution(transformed_state(col))]
         for col in t.columns()
     ]
-    outputs = set()
-    for combo in itertools.product(*per_column):
-        s_a = _xor([bits[0] for bits in combo])
-        s_b = _xor([bits[1] for bits in combo])
-        s_c = _xor([bits[2] for bits in combo])
-        outputs.add(s_a ^ s_b ^ s_c)
-    return outputs
+    # s_A ^ s_B ^ s_C is the parity of every bit of the joint outcome.
+    return {sum(map(sum, combo)) & 1 for combo in itertools.product(*per_column)}
 
 
 def protocol_agreement(t: PromiseTriple, rng) -> dict[str, int]:

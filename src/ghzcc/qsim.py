@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .bitcore import InvariantViolation
+from .bitcore import LEGAL_COLUMNS, InvariantViolation
 
 PARTIES = ("A", "B", "C")
 # Basis strings are read b_A b_B b_C, so party A owns the high bit.
@@ -34,11 +34,6 @@ def _amp_sq(amp: Amp) -> Fraction:
     return Fraction(p * p, 4) + Fraction(q * q, 8)
 
 
-def _amp_float(amp: Amp) -> float:
-    p, q = amp
-    return p / 2 + q / (2 * 2**0.5)
-
-
 @dataclass(frozen=True)
 class TripleState:
     """Exact 3-qubit state: 8 (p, q) amplitude pairs indexed by basis string."""
@@ -56,6 +51,11 @@ class TripleState:
             raise ExactnessError(
                 f"squared norm is {rational}/8 + {cross}/(2*sqrt(2))*..., not exactly 1"
             )
+        # Sampling looks the state up in a memo per column: hash it once.
+        object.__setattr__(self, "_hash", hash(self.amps))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def basis_state(cls, b: int | str) -> "TripleState":
@@ -64,9 +64,6 @@ class TripleState:
 
     def amplitude(self, b: int | str) -> Amp:
         return self.amps[_basis_index(b)]
-
-    def amplitude_float(self, b: int | str) -> float:
-        return _amp_float(self.amplitude(b))
 
     def probability(self, b: int | str) -> Fraction:
         return _amp_sq(self.amplitude(b))
@@ -154,7 +151,7 @@ def check_lemma1(column: tuple[int, int, int]) -> int:
     that AND; an InvariantViolation means the simulator itself is broken.
     """
     xa, xb, xc = column
-    if column not in ((0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 1, 1)):
+    if column not in LEGAL_COLUMNS:
         raise ValueError(f"column {column} violates the promise")
     target = xa & xb & xc
     for b in support(transformed_state(column)):

@@ -9,6 +9,7 @@ import random
 import pytest
 
 from ghzcc.bitcore import (
+    LEGAL_COLUMNS,
     BitString,
     FunctionTable,
     PromiseTriple,
@@ -285,3 +286,98 @@ class TestFunctionTable:
     def test_non_bit_value_rejected(self):
         with pytest.raises(ValueError):
             FunctionTable(1, 1, {(bs("0"),): 2})
+
+
+# Per-bit reference definitions: the packed helpers in bitcore must agree
+# with these on every input they are checked on.
+def per_bit_iter(w: BitString) -> list[int]:
+    return [w.bit(i) for i in range(1, w.length + 1)]
+
+
+def per_bit_str(w: BitString) -> str:
+    return "".join(str(b) for b in per_bit_iter(w))
+
+
+def per_char_from_str(text: str) -> BitString:
+    bits = 0
+    for i, ch in enumerate(text):
+        if ch == "1":
+            bits |= 1 << i
+    return BitString(len(text), bits)
+
+
+def per_bit_columns(t: PromiseTriple) -> list[tuple[int, int, int]]:
+    return [(t.x.bit(i), t.y.bit(i), t.z.bit(i)) for i in range(1, t.length + 1)]
+
+
+def per_column_triple(codes) -> PromiseTriple:
+    xb = yb = zb = 0
+    for i, code in enumerate(codes):
+        cx, cy, cz = LEGAL_COLUMNS[code]
+        xb |= cx << i
+        yb |= cy << i
+        zb |= cz << i
+    n = len(codes)
+    return PromiseTriple(BitString(n, xb), BitString(n, yb), BitString(n, zb))
+
+
+def per_column_random_triple(n: int, rng) -> PromiseTriple:
+    return per_column_triple([rng.randrange(4) for _ in range(n)])
+
+
+def per_column_enumeration(n: int) -> list[PromiseTriple]:
+    # Column 1 is the most significant base-4 digit.
+    return [
+        per_column_triple([(combo >> (2 * (n - 1 - i))) & 3 for i in range(n)])
+        for combo in range(4**n)
+    ]
+
+
+class TestPackedHelpersMatchPerBitOracle:
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_every_word(self, n):
+        for bits in range(1 << n):
+            w = BitString(n, bits)
+            assert list(w) == per_bit_iter(w)
+            assert str(w) == per_bit_str(w)
+            assert BitString.from_str(str(w)) == per_char_from_str(str(w)) == w
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_every_triple(self, n):
+        triples = list(enumerate_promise(n))
+        assert triples == per_column_enumeration(n)
+        for t in triples:
+            assert list(t.columns()) == per_bit_columns(t)
+
+    def test_random_n32(self):
+        rng = random.Random(32)
+        for _ in range(300):
+            w = BitString(32, rng.getrandbits(32))
+            assert list(w) == per_bit_iter(w)
+            assert str(w) == per_bit_str(w)
+            assert per_char_from_str(str(w)) == w
+            t = random_promise_triple(32, rng)
+            assert list(t.columns()) == per_bit_columns(t)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 31, 32])
+    def test_random_triple_and_rng_state_match_per_column_loop(self, n):
+        for seed in range(40):
+            packed_rng, loop_rng = random.Random(seed), random.Random(seed)
+            assert random_promise_triple(n, packed_rng) == per_column_random_triple(n, loop_rng)
+            assert packed_rng.getstate() == loop_rng.getstate()
+
+    def test_random_triple_draws_once_per_column(self):
+        class Recorder:
+            """Offers randrange only, so any other draw would raise."""
+
+            def __init__(self) -> None:
+                self.calls = []
+                self._rng = random.Random(5)
+
+            def randrange(self, *args):
+                self.calls.append(args)
+                return self._rng.randrange(*args)
+
+        rng = Recorder()
+        random_promise_triple(32, rng)
+        assert rng.calls == [(4,)] * 32

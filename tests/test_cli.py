@@ -1,14 +1,17 @@
 """CLI commands, report formats, and exit codes."""
 
+import dataclasses
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from ghzcc import cli, qsim
+from ghzcc import cli, protocols, qsim
 from ghzcc.bitcore import InvariantViolation
+from ghzcc.protocols import Message, SendStep, Transcript
 from ghzcc.cli import (
     EXIT_CHECK_FAILED,
     EXIT_OK,
@@ -137,6 +140,11 @@ class TestReportFormats:
         assert stripped(cmd_demo(5, seed=9)) == stripped(cmd_demo(5, seed=9))
         assert stripped(cmd_verify("cases", 3, 0)) == stripped(cmd_verify("cases", 3, 0))
 
+    def test_timing_record_leads_with_its_type(self):
+        # Readers strip the timing record by this prefix; its keys are not sorted.
+        last = render_machine(cmd_demo(3, seed=1)).splitlines()[-1]
+        assert last.startswith('{"type": "timing", "elapsed_s": ')
+
     def test_text_format_shape(self):
         text = render_text(cmd_demo(2, seed=0))
         lines = text.strip().split("\n")
@@ -213,6 +221,13 @@ GOLDEN = Path(__file__).parent / "golden"
         ),
         (["search", "--scope", "ip3", "--workers", "1", "--seed", "0"], "search_ip3.jsonl"),
         (["replay"], "replay.jsonl"),
+        (["demo", "--n", "1", "--seed", "0"], "demo_n1_seed0.jsonl"),
+        (["demo", "--n", "1", "--seed", "7"], "demo_n1_seed7.jsonl"),
+        (["demo", "--n", "3", "--seed", "0"], "demo_n3_seed0.jsonl"),
+        (["demo", "--n", "3", "--seed", "7"], "demo_n3_seed7.jsonl"),
+        (["demo", "--n", "32", "--seed", "0"], "demo_n32_seed0.jsonl"),
+        (["demo", "--n", "32", "--seed", "7"], "demo_n32_seed7.jsonl"),
+        (["verify", "--scope", "all", "--n", "3", "--seed", "0"], "verify_all_n3_seed0.jsonl"),
     ],
 )
 def test_machine_report_matches_golden(argv, golden, capsys):
@@ -221,3 +236,158 @@ def test_machine_report_matches_golden(argv, golden, capsys):
     lines = capsys.readouterr().out.splitlines(keepends=True)
     assert json.loads(lines[-1])["type"] == "timing"
     assert "".join(lines[:-1]) == (GOLDEN / golden).read_text(encoding="utf-8")
+
+
+def machine_checks(text: str) -> dict[str, dict]:
+    return {r["name"]: r for r in map(json.loads, text.splitlines()) if r["type"] == "check"}
+
+
+def test_demo_audits_each_run_once(monkeypatch):
+    calls = []
+    real = protocols.audit_run
+
+    def counting(result):
+        calls.append(result)
+        return real(result)
+
+    monkeypatch.setattr(protocols, "audit_run", counting)
+    report = cmd_demo(32, seed=11)
+    assert report.passed
+    assert len(calls) == 3
+    assert len({id(result) for result in calls}) == 3
+
+
+@pytest.mark.parametrize("fault", [qsim.ExactnessError, InvariantViolation])
+def test_lemma1_state_fault_is_a_failed_check(fault, monkeypatch, capsys):
+    def broken(column):
+        raise fault(f"forced fault for {column}")
+
+    monkeypatch.setattr(qsim, "transformed_state", broken)
+    assert main(["verify", "--scope", "lemma1", "--format", "machine"]) == EXIT_CHECK_FAILED
+    checks = machine_checks(capsys.readouterr().out)
+    for label in ("001", "010", "100", "111"):
+        check = checks[f"lemma1_column_{label}"]
+        assert not check["passed"]
+        assert check["error"].startswith(fault.__name__ + ": forced fault")
+    assert not checks["lemma1_001_exact_amplitudes"]["passed"]
+    assert checks["hadamard_involution"]["passed"]
+
+
+# Fault injection. Each fault wraps the real transcript engine or schedule, so
+# the injected protocol differs from the real one in exactly one place.
+def non_bit_step(monkeypatch):
+    real = protocols.run_protocol
+
+    def run(inputs, steps, output_fn, **kwargs):
+        first = steps[0]
+        steps = (SendStep(first.sender, first.audience, lambda local, received: 2),) + steps[1:]
+        return real(inputs, steps, output_fn, **kwargs)
+
+    monkeypatch.setattr(protocols, "run_protocol", run)
+
+
+def wrong_bit_on_the_wire(monkeypatch):
+    real = protocols.run_protocol
+
+    def run(*args, **kwargs):
+        result = real(*args, **kwargs)
+        first, *rest = result.transcript.records
+        flipped = Message(first.sender, first.audience, first.bit ^ 1)
+        return dataclasses.replace(result, transcript=Transcript((flipped, *rest)))
+
+    monkeypatch.setattr(protocols, "run_protocol", run)
+
+
+def miscounting_bob(monkeypatch):
+    real = protocols._count_schedule
+
+    def schedule(width):
+        steps, output = real(width)
+        low = steps[width - 1]  # Bob's last count bit
+        wrong = SendStep("B", "A", lambda word, received: low.fn(word, received) ^ 1)
+        return steps[: width - 1] + (wrong,) + steps[width:], output
+
+    monkeypatch.setattr(protocols, "_count_schedule", schedule)
+
+
+FIRST_TRIPLE = "(x=0, y=0, z=1)"  # enumerate_promise(1) starts with column 001
+NON_BIT = "InvariantViolation: B produced a non-bit 2"
+ODD_TOTAL = "InvariantViolation: zero-count total"
+
+
+@pytest.mark.parametrize(
+    "inject,scope,check,reason",
+    [
+        (non_bit_step, "quantum", "quantum_exhaustive_n1", NON_BIT),
+        (non_bit_step, "classical", "classical_three_bit_n1", NON_BIT),
+        (non_bit_step, "classical", "classical_count_n1", NON_BIT),
+        (wrong_bit_on_the_wire, "quantum", "quantum_exhaustive_n1", "audit: record 0: bit"),
+        (miscounting_bob, "classical", "classical_count_n1", ODD_TOTAL),
+    ],
+    ids=["non_bit-quantum", "non_bit-three_bit", "non_bit-count", "wrong_bit", "miscount"],
+)
+def test_injected_fault_fails_verify_with_witness(
+    inject, scope, check, reason, monkeypatch, capsys
+):
+    inject(monkeypatch)
+    argv = ["verify", "--scope", scope, "--n", "2", "--seed", "0", "--format", "machine"]
+    assert main(argv) == EXIT_CHECK_FAILED
+    failed = machine_checks(capsys.readouterr().out)[check]
+    assert not failed["passed"]
+    assert failed["witness"]["triple"] == FIRST_TRIPLE
+    assert failed["witness"]["reason"].startswith(reason)
+
+
+def test_wrong_bit_witness_carries_transcript_and_audit_failures(monkeypatch):
+    wrong_bit_on_the_wire(monkeypatch)
+    report = cmd_verify("quantum", 1, 0)
+    witness = report.checks[0]["witness"]
+    assert witness["transcript"].startswith("B->A:")
+    assert "not reproducible from B's local view" in witness["reason"]
+
+
+@pytest.mark.parametrize(
+    "inject,failing",
+    [
+        (non_bit_step, {"quantum_matches_direct", "three_bit_matches_direct",
+                        "count_matches_direct", "quantum_cost_two", "three_bit_cost_three",
+                        "count_cost_formula", "audits_pass"}),
+        (wrong_bit_on_the_wire, {"audits_pass"}),
+        (miscounting_bob, {"count_matches_direct", "count_cost_formula", "audits_pass"}),
+    ],
+    ids=["non_bit", "wrong_bit", "miscount"],
+)
+def test_injected_fault_fails_demo_with_witness(inject, failing, monkeypatch, capsys):
+    inject(monkeypatch)
+    assert main(["demo", "--n", "5", "--seed", "3", "--format", "machine"]) == EXIT_CHECK_FAILED
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    checks = {r["name"]: r for r in records if r["type"] == "check"}
+    assert {name for name, c in checks.items() if not c["passed"]} == failing
+    triple = next(r for r in records if r.get("kind") == "input")
+    for name in failing & {"quantum_matches_direct", "count_matches_direct"}:
+        assert checks[name]["triple"] == f"(x={triple['x']}, y={triple['y']}, z={triple['z']})"
+        assert checks[name]["error"].startswith("InvariantViolation: ")
+    assert checks["audits_pass"]["witness"]
+
+
+def test_injected_fault_fails_under_optimized_python():
+    # python -O strips asserts; the fault must still surface as a failed check.
+    src = Path(cli.__file__).resolve().parents[1]
+    code = (
+        "import sys, pytest\n"
+        "from ghzcc import cli\n"
+        "from test_cli import miscounting_bob\n"
+        "with pytest.MonkeyPatch.context() as mp:\n"
+        "    miscounting_bob(mp)\n"
+        "    argv = ['verify', '--scope', 'classical', '--n', '2', '--format', 'machine']\n"
+        "    sys.exit(cli.main(argv))\n"
+    )
+    path = os.pathsep.join([str(src), str(Path(__file__).parent)])
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == EXIT_CHECK_FAILED, proc.stderr
+    witness = machine_checks(proc.stdout)["classical_count_n1"]["witness"]
+    assert witness["triple"] == FIRST_TRIPLE
+    assert witness["reason"].startswith(ODD_TOTAL)

@@ -20,8 +20,10 @@ from ghzcc.bitcore import (
     random_promise_triple,
 )
 from ghzcc.protocols import (
+    BROADCAST,
     CountSummary,
     Message,
+    SendStep,
     Transcript,
     audit_run,
     count_summary,
@@ -31,6 +33,7 @@ from ghzcc.protocols import (
     run_classical_three_bit,
     run_ip_trivial,
     run_parity_one_bit,
+    run_protocol,
     run_quantum_two_bit,
 )
 
@@ -282,3 +285,67 @@ class TestAgreement:
                 t = random_promise_triple(n, rng)
                 outputs = protocol_agreement(t, rng)
                 assert len(set(outputs.values())) == 1
+
+
+class TestSchedulesBuiltOnce:
+    def test_quantum_and_three_bit_steps_are_shared(self):
+        rng = random.Random(4)
+        a, b = random_promise_triple(9, rng), random_promise_triple(9, rng)
+        assert run_quantum_two_bit(a, rng).steps is run_quantum_two_bit(b, rng).steps
+        assert run_classical_three_bit(a).steps is run_classical_three_bit(b).steps
+
+    def test_count_steps_built_once_per_width(self):
+        rng = random.Random(4)
+        # n = 4..7 share width 3; n = 8 has width 4.
+        runs = [run_classical_count(random_promise_triple(n, rng)) for n in (4, 5, 7, 8)]
+        assert runs[0].steps is runs[1].steps is runs[2].steps
+        assert runs[0].output_fn is runs[2].output_fn
+        assert runs[3].steps is not runs[0].steps
+        assert len(runs[3].steps) == 8
+
+
+def scan_routing(inputs, steps, output_party="A"):
+    """What each step's sender, then the output party, has received, routed by
+    scanning every party: all but the sender get a bit sent to them or to
+    BROADCAST."""
+    received = {p: [] for p in inputs}
+    views = []
+    for step in steps:
+        views.append(tuple(received[step.sender]))
+        bit = step.fn(inputs[step.sender], views[-1])
+        for party in received:
+            if party != step.sender and step.audience in (party, BROADCAST):
+                received[party].append(bit)
+    return views + [tuple(received[output_party])]
+
+
+class TestRoutingMatchesPartyScan:
+    def test_random_schedules(self):
+        rng = random.Random(12)
+        parties = ("A", "B", "C", "D")
+        inputs = {p: i for i, p in enumerate(parties)}
+        audiences = parties + (BROADCAST, "E")  # E is nobody's id
+        for _ in range(300):
+            seen = []
+
+            def send(local, received, salt):
+                seen.append(received)
+                return (local + sum(received) + salt) & 1
+
+            def output(local, received):
+                seen.append(received)
+                return sum(received) & 1
+
+            steps = tuple(
+                SendStep(
+                    rng.choice(parties),
+                    rng.choice(audiences),
+                    lambda local, received, salt=rng.randrange(8): send(local, received, salt),
+                )
+                for _ in range(rng.randrange(1, 9))
+            )
+            result = run_protocol(inputs, steps, output)
+            engine_views = seen[:]
+            seen.clear()
+            assert engine_views == scan_routing(inputs, steps)
+            assert audit_run(result).passed
