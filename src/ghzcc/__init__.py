@@ -8,7 +8,6 @@ exists at length 3.
 
 from .bitcore import (
     BitString,
-    FunctionTable,
     InvariantViolation,
     PromiseTriple,
     PromiseViolation,

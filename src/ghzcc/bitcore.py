@@ -3,16 +3,18 @@
 Inputs are fixed-length binary words indexed 1..n (position 1 first, matching
 the usual x_1 ... x_n notation). A promise triple is three equal-length words
 whose columns x_i y_i z_i each XOR to 1, i.e. every column is one of
-001, 010, 100, 111.
+001, 010, 100, 111. A two-party function is tabulated as row masks: rows[x]
+has bit y set when f(x, y) = 1, with x and y the words' packed `bits`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterator
 
 MAX_LENGTH = 32
 MAX_ENUM_LENGTH = 16
+MAX_TABLE_LENGTH = 8
 
 # The four column patterns (x_i, y_i, z_i) allowed by the promise, in
 # lexicographic order; enumeration order is defined by these codes.
@@ -50,11 +52,6 @@ class BitString:
             raise ValueError(f"not a binary string: {text!r}")
         return cls(len(text), int(text[::-1], 2))
 
-    @classmethod
-    def from_index(cls, value: int, length: int) -> "BitString":
-        """Build from the integer whose binary digits read position 1 first."""
-        return cls.from_str(format(value, f"0{length}b"))
-
     def bit(self, i: int) -> int:
         if not 1 <= i <= self.length:
             raise IndexError(f"bit index {i} outside 1..{self.length}")
@@ -66,11 +63,6 @@ class BitString:
 
     def __str__(self) -> str:
         return format(self.bits, f"0{self.length}b")[::-1]
-
-    @property
-    def index(self) -> int:
-        """Integer whose binary digits are position 1 first (inverse of from_index)."""
-        return int(str(self), 2)
 
     def parity(self) -> int:
         return self.bits.bit_count() & 1
@@ -121,47 +113,6 @@ class PromiseTriple:
 
     def __str__(self) -> str:
         return f"(x={self.x}, y={self.y}, z={self.z})"
-
-
-@dataclass(frozen=True)
-class FunctionTable:
-    """Total boolean function over an explicit finite domain of input tuples."""
-
-    arity: int
-    length: int
-    values: Mapping[tuple[BitString, ...], int]
-
-    def __post_init__(self) -> None:
-        for key, value in self.values.items():
-            if len(key) != self.arity:
-                raise ValueError(f"key {key} does not have arity {self.arity}")
-            if any(b.length != self.length for b in key):
-                raise ValueError(f"key {key} has a word of the wrong length")
-            if value not in (0, 1):
-                raise ValueError(f"non-bit value {value!r} for {key}")
-
-    @classmethod
-    def tabulate(
-        cls,
-        fn: Callable[..., int],
-        domain: Iterable[tuple[BitString, ...]],
-        arity: int,
-        length: int,
-    ) -> "FunctionTable":
-        return cls(arity, length, {args: fn(*args) for args in domain})
-
-    def value(self, *args: BitString) -> int:
-        try:
-            return self.values[args]
-        except KeyError:
-            raise KeyError(f"{args} outside the table's domain") from None
-
-    @property
-    def domain(self) -> set[tuple[BitString, ...]]:
-        return set(self.values)
-
-    def __len__(self) -> int:
-        return len(self.values)
 
 
 def _check_equal_lengths(x: BitString, y: BitString) -> None:
@@ -231,27 +182,19 @@ def reduce_to_inner_product(t: PromiseTriple) -> tuple[BitString, BitString]:
     return t.x, t.y
 
 
-def parity_table(n: int) -> FunctionTable:
-    """f_parity tabulated over all pairs of length-n words."""
-    domain = [
-        (BitString.from_index(a, n), BitString.from_index(b, n))
-        for a in range(1 << n)
-        for b in range(1 << n)
-    ]
-    return FunctionTable.tabulate(f_parity, domain, arity=2, length=n)
+def _two_party_rows(n: int, f: Callable[[int, int], int]) -> tuple[int, ...]:
+    """rows[x] has bit y set when f(x, y) = 1, over all packed length-n words."""
+    if not 1 <= n <= MAX_TABLE_LENGTH:
+        raise ValueError(f"n must be in 1..{MAX_TABLE_LENGTH}, got {n}")
+    size = 1 << n
+    return tuple(sum(f(x, y) << y for y in range(size)) for x in range(size))
 
 
-def inner_product_table(n: int) -> FunctionTable:
-    """f_inner_product tabulated over all pairs of length-n words."""
-    domain = [
-        (BitString.from_index(a, n), BitString.from_index(b, n))
-        for a in range(1 << n)
-        for b in range(1 << n)
-    ]
-    return FunctionTable.tabulate(f_inner_product, domain, arity=2, length=n)
+def parity_table(n: int) -> tuple[int, ...]:
+    """f_parity over all pairs of length-n words, as row masks."""
+    return _two_party_rows(n, lambda x, y: (x ^ y).bit_count() & 1)
 
 
-def ghz_table(n: int) -> FunctionTable:
-    """f_ghz tabulated over exactly the promise set of length n."""
-    values = {(t.x, t.y, t.z): f_ghz(t) for t in enumerate_promise(n)}
-    return FunctionTable(arity=3, length=n, values=values)
+def inner_product_table(n: int) -> tuple[int, ...]:
+    """f_inner_product over all pairs of length-n words, as row masks."""
+    return _two_party_rows(n, lambda x, y: (x & y).bit_count() & 1)

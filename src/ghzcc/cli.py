@@ -203,9 +203,9 @@ def _verify_lemma1(report: Report) -> None:
     report.check("hadamard_involution", involution)
 
 
-def _fault(t, expected: int, cost: int, audit: bool, run, *args) -> dict | None:
-    """None if run(*args) outputs `expected` at `cost` bits and, if `audit`,
-    passes audit_run; else a witness naming t and why."""
+def _fault(t, expected: int, cost: int, run, *args) -> dict | None:
+    """None if run(*args) outputs `expected` at `cost` bits and passes
+    audit_run; else a witness naming t and why."""
     result = _attempt(run, *args)
     if isinstance(result, Exception):
         return {"triple": str(t), "transcript": None, "reason": _fault_text(result)}
@@ -213,7 +213,7 @@ def _fault(t, expected: int, cost: int, audit: bool, run, *args) -> dict | None:
         reason = f"output {result.output}, expected {expected}"
     elif result.cost != cost:
         reason = f"cost {result.cost}, expected {cost}"
-    elif audit and not (verdict := protocols.audit_run(result)).passed:
+    elif not (verdict := protocols.audit_run(result)).passed:
         reason = "audit: " + "; ".join(verdict.failures)
     else:
         return None
@@ -234,7 +234,7 @@ def _verify_quantum(report: Report, n_max: int, seed: int) -> None:
         for t in bitcore.enumerate_promise(n):
             expected = bitcore.f_ghz(t)
             for _ in range(2):
-                fault = _fault(t, expected, 2, True, protocols.run_quantum_two_bit, t, rng)
+                fault = _fault(t, expected, 2, protocols.run_quantum_two_bit, t, rng)
                 witness = witness or fault
         _check(report, f"quantum_exhaustive_n{n}", witness, triples=4**n, runs=2 * 4**n)
 
@@ -245,9 +245,9 @@ def _verify_classical(report: Report, n_max: int) -> None:
         three = count = None
         for t in bitcore.enumerate_promise(n):
             expected = bitcore.f_ghz(t)
-            fault = _fault(t, expected, 3, False, protocols.run_classical_three_bit, t)
+            fault = _fault(t, expected, 3, protocols.run_classical_three_bit, t)
             three = three or fault
-            fault = _fault(t, expected, 2 * width, False, protocols.run_classical_count, t)
+            fault = _fault(t, expected, 2 * width, protocols.run_classical_count, t)
             count = count or fault
         _check(report, f"classical_three_bit_n{n}", three, triples=4**n)
         _check(report, f"classical_count_n{n}", count, triples=4**n, cost=2 * width)

@@ -28,18 +28,14 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .bitcore import BitString, FunctionTable, PromiseTriple, f_ghz, inner_product_table
+from .bitcore import PromiseTriple, f_ghz, inner_product_table
 
 ALL3 = 7  # all-ones word of length 3
 _PERMS = tuple(itertools.permutations((0, 1, 2)))
 
 
 def _as_value(v) -> int:
-    """Accept an int 0..7, a '010'-style string, or a length-3 BitString."""
-    if isinstance(v, BitString):
-        if v.length != 3:
-            raise ValueError(f"need length 3, got {v.length}")
-        return v.index
+    """Accept an int 0..7 or a '010'-style string."""
     if isinstance(v, str):
         if len(v) != 3 or set(v) - {"0", "1"}:
             raise ValueError(f"not a 3-bit string: {v!r}")
@@ -195,7 +191,7 @@ def carol_partition_feasible(xs, bob_class) -> CarolFeasibility:
     graph 2-coloring problem; joint feasibility merges the graphs of all
     supplied x values.
     """
-    if isinstance(xs, (int, str, BitString)):
+    if isinstance(xs, (int, str)):
         xs = [xs]
     x_vals = [_as_value(x) for x in xs]
     class_vals = sorted({_as_value(y) for y in bob_class})
@@ -615,16 +611,16 @@ def _ghz_game() -> _Game:
     return _Game(rows, {"A": None, "B": (range(256),) * 8, "C": carol}, 255)
 
 
-def _two_party_game(table: FunctionTable) -> _Game:
+def _two_party_game(rows: Sequence[int]) -> _Game:
     """The receiver holds the first word; rows[x] masks the second words with f = 1."""
-    if table.arity != 2:
-        raise ValueError(f"need a two-party table, got arity {table.arity}")
-    words = [BitString.from_index(v, table.length) for v in range(1 << table.length)]
-    rows = tuple(
-        sum(table.value(wx, wy) << vy for vy, wy in enumerate(words)) for wx in words
-    )
-    size = len(words)
-    return _Game(rows, {"A": None, "B": (range(1 << size),) * size}, (1 << size) - 1)
+    size = len(rows)
+    if size < 2 or size & (size - 1):
+        raise ValueError(f"need 2^n rows for some n >= 1, got {size}")
+    full = (1 << size) - 1
+    for x, row in enumerate(rows):
+        if not isinstance(row, int) or not 0 <= row <= full:
+            raise ValueError(f"row {x} is not a mask over {size} words: {row!r}")
+    return _Game(tuple(rows), {"A": None, "B": (range(1 << size),) * size}, full)
 
 
 @dataclass(frozen=True)
@@ -784,30 +780,30 @@ def three_bit_messages_feasible() -> bool:
 # ---------------------------------------------------------------------------
 
 
-def search_two_party_two_bit(table: FunctionTable, workers: int = 1) -> SearchResult:
-    """Count correct adaptive two-bit two-party protocols for a tabulated f.
+def search_two_party_two_bit(rows: Sequence[int], workers: int = 1) -> SearchResult:
+    """Count correct adaptive two-bit two-party protocols for f given as row masks.
 
     Either party may send either bit; the second sender and function may
     depend on the first bit; the receiver (who holds the first word) must
     end up with f constant on every (input, transcript) fiber.
     """
-    if table.length > 3:
-        raise ValueError(f"two-bit search supports length <= 3, got {table.length}")
-    game = _two_party_game(table)
+    game = _two_party_game(rows)
+    if len(rows) > 8:
+        raise ValueError(f"two-bit search supports length <= 3, got {len(rows)} rows")
     return _count_protocols("two_party_two_bit", game, ("A", "B"), ("A", "B"), workers)
 
 
-def search_two_party_one_bit(table: FunctionTable) -> SearchResult:
-    """Count correct one-bit two-party protocols for a tabulated f.
+def search_two_party_one_bit(rows: Sequence[int]) -> SearchResult:
+    """Count correct one-bit two-party protocols for f given as row masks.
 
     The one bit is a second message after nothing: sender B must split every
     row into f-constant fibers, and sender A only works (with any of her
     masks) if f is already determined by her own word.
     """
     start = time.perf_counter()
-    if table.length > 4:
-        raise ValueError(f"one-bit search supports length <= 4, got {table.length}")
-    game = _two_party_game(table)
+    game = _two_party_game(rows)
+    if len(rows) > 16:
+        raise ValueError(f"one-bit search supports length <= 4, got {len(rows)} rows")
     counts = game.branch_counts((game.full,) * len(game.rows), ("A", "B"))
     return SearchResult(
         name="two_party_one_bit",
@@ -818,9 +814,9 @@ def search_two_party_one_bit(table: FunctionTable) -> SearchResult:
     )
 
 
-def send_all_bits_feasible(table: FunctionTable) -> bool:
+def send_all_bits_feasible(rows: Sequence[int]) -> bool:
     """Fiber check for the n-bit protocol where B sends his whole word."""
-    rows = _two_party_game(table).rows
+    rows = _two_party_game(rows).rows
     return _fibers_constant(len(rows), lambda x, y: (rows[x] >> y) & 1, lambda x, y: y)
 
 

@@ -10,15 +10,14 @@ import pytest
 
 from ghzcc.bitcore import (
     LEGAL_COLUMNS,
+    MAX_TABLE_LENGTH,
     BitString,
-    FunctionTable,
     PromiseTriple,
     PromiseViolation,
     enumerate_promise,
     f_ghz,
     f_inner_product,
     f_parity,
-    ghz_table,
     inner_product_table,
     parity_table,
     random_promise_triple,
@@ -69,10 +68,6 @@ class TestBitString:
         assert w.count_ones() == 2
         assert w.count_zeros() == 3
         assert w.parity() == 0
-
-    def test_index_round_trip(self):
-        for v in range(8):
-            assert BitString.from_index(v, 3).index == v
 
     def test_bad_text(self):
         with pytest.raises(ValueError):
@@ -258,34 +253,31 @@ class TestReduction:
             reduce_to_inner_product(t)
 
 
-class TestFunctionTable:
-    def test_parity_table_total_and_correct(self):
-        table = parity_table(2)
-        assert len(table) == 16
-        for a in range(4):
-            for b in range(4):
-                x, y = BitString.from_index(a, 2), BitString.from_index(b, 2)
-                assert table.value(x, y) == f_parity(x, y)
+class TestTwoPartyRows:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize(
+        "make_rows,f", [(parity_table, f_parity), (inner_product_table, f_inner_product)]
+    )
+    def test_rows_match_functions(self, make_rows, f, n):
+        rows = make_rows(n)
+        assert len(rows) == 1 << n
+        words = [BitString(n, v) for v in range(1 << n)]
+        for x in words:
+            assert 0 <= rows[x.bits] < 1 << len(rows)
+            for y in words:
+                assert (rows[x.bits] >> y.bits) & 1 == f(x, y), (str(x), str(y))
 
-    def test_inner_product_table(self):
-        table = inner_product_table(3)
-        assert len(table) == 64
-        assert table.value(bs("011"), bs("101")) == 1
+    def test_inner_product_direct_value(self):
+        assert (inner_product_table(3)[bs("011").bits] >> bs("101").bits) & 1 == 1
 
-    def test_ghz_table_domain_is_promise_set(self):
-        table = ghz_table(2)
-        assert len(table) == 16
-        for (x, y, z), value in table.values.items():
-            assert value == f_ghz(PromiseTriple(x, y, z))
+    def test_longest_length(self):
+        assert len(parity_table(MAX_TABLE_LENGTH)) == 1 << MAX_TABLE_LENGTH
 
-    def test_out_of_domain_lookup_raises(self):
-        table = ghz_table(1)
-        with pytest.raises(KeyError):
-            table.value(bs("0"), bs("0"), bs("0"))  # violates the promise
-
-    def test_non_bit_value_rejected(self):
-        with pytest.raises(ValueError):
-            FunctionTable(1, 1, {(bs("0"),): 2})
+    @pytest.mark.parametrize("n", [0, -1, MAX_TABLE_LENGTH + 1])
+    def test_length_outside_range_rejected(self, n):
+        for make_rows in (parity_table, inner_product_table):
+            with pytest.raises(ValueError):
+                make_rows(n)
 
 
 # Per-bit reference definitions: the packed helpers in bitcore must agree

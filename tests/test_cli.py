@@ -199,10 +199,12 @@ class TestMainEntry:
         assert "FAIL" in capsys.readouterr().out
 
     def test_module_entry_point(self):
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
         proc = subprocess.run(
             [sys.executable, "-m", "ghzcc", "demo", "--n", "2", "--seed", "3"],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0
         assert "summary: PASS" in proc.stdout
@@ -322,9 +324,12 @@ ODD_TOTAL = "InvariantViolation: zero-count total"
         (non_bit_step, "classical", "classical_three_bit_n1", NON_BIT),
         (non_bit_step, "classical", "classical_count_n1", NON_BIT),
         (wrong_bit_on_the_wire, "quantum", "quantum_exhaustive_n1", "audit: record 0: bit"),
+        (wrong_bit_on_the_wire, "classical", "classical_three_bit_n1", "audit: record 0: bit"),
+        (wrong_bit_on_the_wire, "classical", "classical_count_n1", "audit: record 0: bit"),
         (miscounting_bob, "classical", "classical_count_n1", ODD_TOTAL),
     ],
-    ids=["non_bit-quantum", "non_bit-three_bit", "non_bit-count", "wrong_bit", "miscount"],
+    ids=["non_bit-quantum", "non_bit-three_bit", "non_bit-count", "wrong_bit",
+         "wrong_bit-three_bit", "wrong_bit-count", "miscount"],
 )
 def test_injected_fault_fails_verify_with_witness(
     inject, scope, check, reason, monkeypatch, capsys

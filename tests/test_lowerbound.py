@@ -12,7 +12,15 @@ import random
 
 import pytest
 
-from ghzcc.bitcore import PromiseTriple, f_ghz, inner_product_table, parity_table
+from ghzcc.bitcore import (
+    BitString,
+    PromiseTriple,
+    f_ghz,
+    f_inner_product,
+    f_parity,
+    inner_product_table,
+    parity_table,
+)
 from ghzcc.cli import SEARCH_SCOPES, cmd_search
 from ghzcc.lowerbound import (
     CASES,
@@ -334,16 +342,16 @@ class TestTwoPartySearches:
     def test_factorized_count_matches_brute_force_nonzero(self):
         # Parity on 2-bit words is solvable with two bits, so the counts are
         # positive and the product decomposition is exercised for real.
-        table = parity_table(2)
-        fast = search_two_party_two_bit(table).feasible
-        assert fast == _brute_force_two_party_two_bit(table)
+        rows = parity_table(2)
+        fast = search_two_party_two_bit(rows).feasible
+        assert fast == _brute_force_two_party_two_bit(rows)
         assert fast > 0
 
     def test_factorized_count_matches_brute_force_n1(self):
-        for table in (parity_table(1), inner_product_table(1)):
+        for rows in (parity_table(1), inner_product_table(1)):
             assert (
-                search_two_party_two_bit(table).feasible
-                == _brute_force_two_party_two_bit(table)
+                search_two_party_two_bit(rows).feasible
+                == _brute_force_two_party_two_bit(rows)
             )
 
     def test_length_limits(self):
@@ -352,15 +360,22 @@ class TestTwoPartySearches:
         with pytest.raises(ValueError):
             search_two_party_one_bit(parity_table(5))
 
+    @pytest.mark.parametrize(
+        "rows",
+        [(), (0,), (0, 1, 1), (0,) * 6, (0, 4), (0, 0, 0, 16), (0, -1), (0, 1.0)],
+        ids=["none", "one", "three", "six", "bit_2", "bit_4", "negative", "float"],
+    )
+    def test_malformed_rows_rejected(self, rows):
+        for check in (search_two_party_two_bit, search_two_party_one_bit,
+                      send_all_bits_feasible):
+            with pytest.raises(ValueError):
+                check(rows)
 
-def _brute_force_two_party_two_bit(table) -> int:
+
+def _brute_force_two_party_two_bit(rows) -> int:
     """Plain candidate enumeration; no bitmaps, no factorization."""
-    n = table.length
-    size = 1 << n
+    size = len(rows)
     fn_count = 1 << size
-    rows = [
-        [table.value(*_pair(vx, vy, n)) for vy in range(size)] for vx in range(size)
-    ]
 
     def feasible(sp1, m1, plan) -> bool:
         for vx in range(size):
@@ -369,7 +384,7 @@ def _brute_force_two_party_two_bit(table) -> int:
                 b1 = (m1 >> (vx if sp1 == 0 else vy)) & 1
                 sp2, m2 = plan[b1]
                 b2 = (m2 >> (vx if sp2 == 0 else vy)) & 1
-                value = rows[vx][vy]
+                value = rows[vx] >> vy & 1
                 if seen.setdefault((b1, b2), value) != value:
                     return False
         return True
@@ -388,9 +403,8 @@ def _brute_force_two_party_two_bit(table) -> int:
 
 
 def _pair(vx: int, vy: int, n: int):
-    from ghzcc.bitcore import BitString
-
-    return BitString.from_index(vx, n), BitString.from_index(vy, n)
+    """Words whose binary digits, position 1 first, read vx and vy."""
+    return BitString.from_str(format(vx, f"0{n}b")), BitString.from_str(format(vy, f"0{n}b"))
 
 
 def _reference_valid_bitmap(row: int, pull, s: int) -> int:
@@ -425,14 +439,17 @@ class TestClosedFormBitmaps:
                     expected = _reference_valid_bitmap(row, pull, s)
                     assert game.valid_bitmap(speaker, x, s) == expected, (speaker, x, s)
 
-    @pytest.mark.parametrize("make_table", [inner_product_table, parity_table])
-    def test_two_party_rows(self, make_table):
+    @pytest.mark.parametrize(
+        "make_rows,f",
+        [(inner_product_table, f_inner_product), (parity_table, f_parity)],
+        ids=["inner_product_table", "parity_table"],
+    )
+    def test_two_party_rows(self, make_rows, f):
         from ghzcc.lowerbound import _two_party_game
 
-        table = make_table(3)
-        game = _two_party_game(table)
+        game = _two_party_game(make_rows(3))
         for vx in range(8):
-            row = sum(table.value(*_pair(vx, vy, 3)) << vy for vy in range(8))
+            row = sum(f(*_pair(vx, vy, 3)) << vy for vy in range(8))
             for s in range(256):
                 expected = _reference_valid_bitmap(row, range(256), s)
                 assert game.valid_bitmap("B", vx, s) == expected, (vx, s)

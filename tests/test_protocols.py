@@ -210,7 +210,7 @@ class TestTwoPartyBaselines:
     def test_parity_exhaustive_n3(self):
         for a in range(8):
             for b in range(8):
-                x, y = BitString.from_index(a, 3), BitString.from_index(b, 3)
+                x, y = bs(format(a, "03b")), bs(format(b, "03b"))
                 result = run_parity_one_bit(x, y)
                 assert result.output == f_parity(x, y)
                 assert result.cost == 1
@@ -231,7 +231,7 @@ class TestTwoPartyBaselines:
     def test_ip_exhaustive_n3(self):
         for a in range(8):
             for b in range(8):
-                x, y = BitString.from_index(a, 3), BitString.from_index(b, 3)
+                x, y = bs(format(a, "03b")), bs(format(b, "03b"))
                 result = run_ip_trivial(x, y)
                 assert result.output == f_inner_product(x, y)
                 assert result.cost == 3
