@@ -143,7 +143,7 @@ def _describe_run(report: Report, name: str, run: Any) -> list[str]:
         return [f"{name}: stopped by {_fault_text(run)}"]
     audit = protocols.audit_run(run)
     report.note("run", protocol=name, output=run.output, cost=run.cost,
-                transcript=str(run.transcript), audit="pass" if audit.passed else "fail")
+                transcript=run.transcript, audit="pass" if audit.passed else "fail")
     return [f"{name}: {failure}" for failure in audit.failures]
 
 
@@ -217,7 +217,7 @@ def _fault(t, expected: int, cost: int, run, *args) -> dict | None:
         reason = "audit: " + "; ".join(verdict.failures)
     else:
         return None
-    return {"triple": str(t), "transcript": str(result.transcript), "reason": reason}
+    return {"triple": str(t), "transcript": result.transcript, "reason": reason}
 
 
 def _check(report: Report, name: str, witness: dict | None, **detail: Any) -> None:
@@ -420,17 +420,24 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
 
+    if args.command == "demo" and not 1 <= args.n <= bitcore.MAX_LENGTH:
+        parser.error(f"--n must be in 1..{bitcore.MAX_LENGTH}")
+    if args.command == "verify" and not 1 <= args.n <= MAX_VERIFY_N:
+        parser.error(f"--n must be in 1..{MAX_VERIFY_N}")
+    if args.command == "search" and args.workers < 1:
+        parser.error("--workers must be >= 1")
+    if args.out:
+        # An unwritable report path is a usage error, found before the command runs.
+        try:
+            open(args.out, "w", encoding="utf-8").close()
+        except OSError as exc:
+            parser.error(f"cannot write --out {args.out}: {exc.strerror or exc}")
+
     if args.command == "demo":
-        if not 1 <= args.n <= bitcore.MAX_LENGTH:
-            parser.error(f"--n must be in 1..{bitcore.MAX_LENGTH}")
         report = cmd_demo(args.n, args.seed)
     elif args.command == "verify":
-        if not 1 <= args.n <= MAX_VERIFY_N:
-            parser.error(f"--n must be in 1..{MAX_VERIFY_N}")
         report = cmd_verify(args.scope, args.n, args.seed)
     elif args.command == "search":
-        if args.workers < 1:
-            parser.error("--workers must be >= 1")
         report = cmd_search(args.scope, args.workers, args.seed)
     else:
         report = cmd_replay(args.case)

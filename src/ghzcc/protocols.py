@@ -1,74 +1,47 @@
-"""Transcript-based protocol engine and the concrete protocols.
+"""One-way protocol engine and the concrete protocols.
 
-Every protocol is a fixed schedule of single-bit sends. A send step computes
-its bit from the sender's local input plus the bits previously addressed to
-the sender, and nothing else; the designated output party (Alice) produces
-the final answer from her local input plus the bits addressed to her. A run
-records enough to let audit_run re-derive every transmitted bit and the
-output from those views, which is the information-locality contract.
+Every protocol is one round of single-bit sends to Alice ("A"), each bit a
+function of its sender's own input only; Alice's output is a function of her
+input plus those bits. A run records its inputs, schedule and bits, so
+audit_run can re-derive both: the information-locality contract.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Callable, Mapping, Sequence
 
 from .bitcore import BitString, InvariantViolation, PromiseTriple, f_ghz, f_inner_product
 from .qsim import outcome_distribution, sample_outcome, transformed_state
 
-BROADCAST = "*"
-
-
-@dataclass(frozen=True)
-class Message:
-    sender: str
-    audience: str  # a party id or BROADCAST
-    bit: int
-
-
-@dataclass(frozen=True)
-class Transcript:
-    records: tuple[Message, ...]
-
-    @property
-    def cost(self) -> int:
-        return len(self.records)
-
-    def bits_for(self, party: str) -> tuple[int, ...]:
-        return tuple(
-            m.bit
-            for m in self.records
-            if m.sender != party and m.audience in (party, BROADCAST)
-        )
-
-    def __str__(self) -> str:
-        return " ".join(f"{m.sender}->{m.audience}:{m.bit}" for m in self.records)
-
 
 @dataclass(frozen=True)
 class SendStep:
+    """One bit to Alice, computed by fn from the sender's own input."""
+
     sender: str
-    audience: str
-    fn: Callable[[Any, tuple[int, ...]], int]
+    fn: Callable[[Any], int]
 
 
 @dataclass(frozen=True)
 class RunResult:
-    """Outcome of one protocol run, with everything audit_run needs to replay it."""
+    """Outcome of one protocol run: bits[i] is the bit steps[i] sent to Alice."""
 
     output: int
-    transcript: Transcript
-    local: Mapping[str, Any] = field(default_factory=dict)
-    inputs: Mapping[str, Any] = field(default_factory=dict)
-    steps: tuple[SendStep, ...] = ()
-    output_fn: Callable[[Any, tuple[int, ...]], int] | None = None
-    output_party: str = "A"
+    bits: tuple[int, ...]
+    inputs: Mapping[str, Any]
+    steps: tuple[SendStep, ...]
+    output_fn: Callable[[Any, tuple[int, ...]], int] | None
 
     @property
     def cost(self) -> int:
-        return self.transcript.cost
+        return len(self.bits)
+
+    @property
+    def transcript(self) -> str:
+        return " ".join(f"{step.sender}->A:{bit}" for step, bit in zip(self.steps, self.bits))
 
 
 @dataclass(frozen=True)
@@ -99,88 +72,59 @@ def count_summary(t: PromiseTriple) -> CountSummary:
     return CountSummary(t.x.count_zeros(), t.y.count_zeros(), t.z.count_zeros(), k)
 
 
-def _deliver(received: dict[str, list[int]], sender: str, audience: str, bit: int) -> None:
-    """Add a sent bit to the view of each party it is addressed to, except the sender."""
-    if audience == BROADCAST:
-        for party, bits in received.items():
-            if party != sender:
-                bits.append(bit)
-    elif audience != sender and audience in received:
-        received[audience].append(bit)
-
-
 def run_protocol(
     inputs: Mapping[str, Any],
     steps: Sequence[SendStep],
     output_fn: Callable[[Any, tuple[int, ...]], int],
-    output_party: str = "A",
-    local: Mapping[str, Any] | None = None,
 ) -> RunResult:
-    received: dict[str, list[int]] = {p: [] for p in inputs}
-    records = []
+    bits = []
     for step in steps:
-        sender = step.sender
-        bit = step.fn(inputs[sender], tuple(received[sender]))
+        bit = step.fn(inputs[step.sender])
         if bit not in (0, 1):
-            raise InvariantViolation(f"{sender} produced a non-bit {bit!r}")
-        records.append(Message(sender, step.audience, bit))
-        _deliver(received, sender, step.audience, bit)
-    output = output_fn(inputs[output_party], tuple(received[output_party]))
+            raise InvariantViolation(f"{step.sender} produced a non-bit {bit!r}")
+        bits.append(bit)
+    bits = tuple(bits)
+    output = output_fn(inputs["A"], bits)
     if output not in (0, 1):
-        raise InvariantViolation(f"{output_party} produced a non-bit output {output!r}")
-    return RunResult(
-        output=output,
-        transcript=Transcript(tuple(records)),
-        local=dict(local or {}),
-        inputs=dict(inputs),
-        steps=tuple(steps),
-        output_fn=output_fn,
-        output_party=output_party,
-    )
+        raise InvariantViolation(f"A produced a non-bit output {output!r}")
+    return RunResult(output, bits, dict(inputs), tuple(steps), output_fn)
 
 
 def audit_run(result: RunResult) -> AuditReport:
-    """Re-derive every transmitted bit and the output from local views only.
+    """Re-derive every sent bit and the output from local views only.
 
-    A mismatch names the offending record: it means the recorded bit is not a
-    function of the sender's input plus bits previously addressed to the
-    sender (or the output is not a function of Alice's view).
+    A mismatch names the offending record, or the output. This loop stays
+    apart from run_protocol so that a fault in the engine cannot replay
+    itself into a pass.
     """
-    failures: list[str] = []
-    records = result.transcript.records
+    bits = result.bits
     if result.output_fn is None:
-        return AuditReport(False, len(records), ("run carries no replayable steps",))
-    if len(records) != len(result.steps):
-        failures.append(f"{len(records)} records for {len(result.steps)} scheduled steps")
-    received: dict[str, list[int]] = {p: [] for p in result.inputs}
-    for i, (step, record) in enumerate(zip(result.steps, records)):
-        if (record.sender, record.audience) != (step.sender, step.audience):
-            failures.append(f"record {i}: routed {record.sender}->{record.audience}, "
-                            f"scheduled {step.sender}->{step.audience}")
+        return AuditReport(False, len(bits), ("run carries no replayable steps",))
+    failures: list[str] = []
+    if len(bits) != len(result.steps):
+        failures.append(f"{len(bits)} records for {len(result.steps)} scheduled steps")
+    for i, (step, bit) in enumerate(zip(result.steps, bits)):
         try:
-            expected = step.fn(result.inputs[step.sender], tuple(received[step.sender]))
+            expected = step.fn(result.inputs[step.sender])
         except Exception as exc:
             failures.append(f"record {i}: replay from {step.sender}'s view failed: {exc!r}")
             expected = None
-        if expected != record.bit:
+        if expected != bit:
             failures.append(
-                f"record {i}: bit {record.bit} is not reproducible from "
+                f"record {i}: bit {bit} is not reproducible from "
                 f"{step.sender}'s local view (expected {expected})"
             )
-        _deliver(received, record.sender, record.audience, record.bit)
     try:
-        expected_out = result.output_fn(
-            result.inputs[result.output_party], tuple(received[result.output_party])
-        )
+        expected_out = result.output_fn(result.inputs["A"], bits)
     except Exception as exc:
         expected_out = None
-        failures.append(f"output replay from {result.output_party}'s view failed: {exc!r}")
+        failures.append(f"output replay from A's view failed: {exc!r}")
     if expected_out != result.output:
         failures.append(
             f"output {result.output} is not reproducible from "
-            f"{result.output_party}'s local view (expected {expected_out})"
+            f"A's local view (expected {expected_out})"
         )
-    return AuditReport(not failures, len(records), tuple(failures))
+    return AuditReport(not failures, len(bits), tuple(failures))
 
 
 def _xor(bits: Sequence[int]) -> int:
@@ -188,7 +132,7 @@ def _xor(bits: Sequence[int]) -> int:
     return sum(bits) & 1
 
 
-def _send_measured_parity(local, _received):
+def _send_measured_parity(local):
     return _xor(local[1])
 
 
@@ -197,8 +141,8 @@ def _quantum_output(local, received):
 
 
 _QUANTUM_STEPS = (
-    SendStep("B", "A", _send_measured_parity),
-    SendStep("C", "A", _send_measured_parity),
+    SendStep("B", _send_measured_parity),
+    SendStep("C", _send_measured_parity),
 )
 
 
@@ -213,19 +157,15 @@ def run_quantum_two_bit(t: PromiseTriple, rng) -> RunResult:
     of each party's local input.
     """
     a, b, c = zip(*[sample_outcome(transformed_state(col), rng).bits for col in t.columns()])
-    sampled = {"A": a, "B": b, "C": c}
     inputs = {"A": (t.x, a), "B": (t.y, b), "C": (t.z, c)}
-    s = {p: _xor(bits) for p, bits in sampled.items()}
-    return run_protocol(
-        inputs, _QUANTUM_STEPS, _quantum_output, local={"s": s, "sampled": sampled}
-    )
+    return run_protocol(inputs, _QUANTUM_STEPS, _quantum_output)
 
 
-def _high_count_bit(word, _received):
+def _high_count_bit(word):
     return (word.count_zeros() >> 1) & 1
 
 
-def _low_count_bit(word, _received):
+def _low_count_bit(word):
     return word.count_zeros() & 1
 
 
@@ -243,9 +183,9 @@ def _three_bit_output(word, received):
 
 
 _THREE_BIT_STEPS = (
-    SendStep("B", "A", _high_count_bit),
-    SendStep("B", "A", _low_count_bit),
-    SendStep("C", "A", _high_count_bit),
+    SendStep("B", _high_count_bit),
+    SendStep("B", _low_count_bit),
+    SendStep("C", _high_count_bit),
 )
 
 
@@ -258,9 +198,9 @@ def run_classical_three_bit(t: PromiseTriple) -> RunResult:
     From the sum mod 4 Alice gets the parity of the AND-zero column count k
     and outputs (n - k) mod 2.
     """
-    summary = count_summary(t)  # also checks r_A + r_B + r_C = 2k
+    count_summary(t)  # checks r_A + r_B + r_C = 2k
     inputs = {"A": t.x, "B": t.y, "C": t.z}
-    return run_protocol(inputs, _THREE_BIT_STEPS, _three_bit_output, local={"counts": summary})
+    return run_protocol(inputs, _THREE_BIT_STEPS, _three_bit_output)
 
 
 @lru_cache(maxsize=None)
@@ -268,7 +208,7 @@ def _count_schedule(width: int) -> tuple:
     """Send steps and Alice's output for counts sent as width-bit big-endian fields."""
 
     def count_bit(pos: int):
-        def fn(word, _received):
+        def fn(word):
             return (word.count_zeros() >> pos) & 1
 
         return fn
@@ -287,7 +227,7 @@ def _count_schedule(width: int) -> tuple:
         return (word.length - k) & 1
 
     steps = tuple(
-        SendStep(party, "A", count_bit(pos))
+        SendStep(party, count_bit(pos))
         for party in ("B", "C")
         for pos in range(width - 1, -1, -1)
     )
@@ -301,10 +241,10 @@ def run_classical_count(t: PromiseTriple) -> RunResult:
     the cost is 2*ceil(log2(n+1)). Alice reconstructs k exactly and outputs
     (n - k) mod 2.
     """
-    summary = count_summary(t)
+    count_summary(t)  # checks r_A + r_B + r_C = 2k
     steps, alice_output = _count_schedule(t.length.bit_length())
     inputs = {"A": t.x, "B": t.y, "C": t.z}
-    return run_protocol(inputs, steps, alice_output, local={"counts": summary})
+    return run_protocol(inputs, steps, alice_output)
 
 
 def run_parity_one_bit(x: BitString, y: BitString) -> RunResult:
@@ -313,13 +253,13 @@ def run_parity_one_bit(x: BitString, y: BitString) -> RunResult:
         raise ValueError(f"length mismatch: {x.length} vs {y.length}")
     inputs = {"A": x, "B": y}
 
-    def bob_parity(word, _received):
+    def bob_parity(word):
         return word.parity()
 
     def alice_output(word, received):
         return word.parity() ^ received[0]
 
-    return run_protocol(inputs, (SendStep("B", "A", bob_parity),), alice_output)
+    return run_protocol(inputs, (SendStep("B", bob_parity),), alice_output)
 
 
 def run_ip_trivial(x: BitString, y: BitString) -> RunResult:
@@ -329,7 +269,7 @@ def run_ip_trivial(x: BitString, y: BitString) -> RunResult:
     inputs = {"A": x, "B": y}
 
     def word_bit(i: int):
-        def fn(word, _received):
+        def fn(word):
             return word.bit(i)
 
         return fn
@@ -338,7 +278,7 @@ def run_ip_trivial(x: BitString, y: BitString) -> RunResult:
         other = BitString.from_str("".join(str(b) for b in received))
         return f_inner_product(word, other)
 
-    steps = tuple(SendStep("B", "A", word_bit(i)) for i in range(1, y.length + 1))
+    steps = tuple(SendStep("B", word_bit(i)) for i in range(1, y.length + 1))
     return run_protocol(inputs, steps, alice_output)
 
 

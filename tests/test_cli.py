@@ -11,7 +11,7 @@ import pytest
 
 from ghzcc import cli, protocols, qsim
 from ghzcc.bitcore import InvariantViolation
-from ghzcc.protocols import Message, SendStep, Transcript
+from ghzcc.protocols import SendStep
 from ghzcc.cli import (
     EXIT_CHECK_FAILED,
     EXIT_OK,
@@ -190,6 +190,17 @@ class TestMainEntry:
             main(argv)
         assert exc.value.code == EXIT_USAGE
 
+    def test_unwritable_out_is_a_usage_error(self, tmp_path, monkeypatch, capsys):
+        # The path is checked before the command runs, so the command never starts.
+        monkeypatch.setattr(cli, "cmd_replay", lambda case: pytest.fail("command ran"))
+        target = tmp_path / "missing" / "report.txt"
+        with pytest.raises(SystemExit) as exc:
+            main(["replay", "--out", str(target)])
+        assert exc.value.code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].startswith("ghzcc: error: cannot write --out ")
+        assert not target.parent.exists()
+
     def test_verification_failure_exits_1(self, monkeypatch, capsys):
         def broken(column):
             raise InvariantViolation("forced failure for the exit-code contract")
@@ -282,7 +293,7 @@ def non_bit_step(monkeypatch):
 
     def run(inputs, steps, output_fn, **kwargs):
         first = steps[0]
-        steps = (SendStep(first.sender, first.audience, lambda local, received: 2),) + steps[1:]
+        steps = (SendStep(first.sender, lambda local: 2),) + steps[1:]
         return real(inputs, steps, output_fn, **kwargs)
 
     monkeypatch.setattr(protocols, "run_protocol", run)
@@ -293,9 +304,8 @@ def wrong_bit_on_the_wire(monkeypatch):
 
     def run(*args, **kwargs):
         result = real(*args, **kwargs)
-        first, *rest = result.transcript.records
-        flipped = Message(first.sender, first.audience, first.bit ^ 1)
-        return dataclasses.replace(result, transcript=Transcript((flipped, *rest)))
+        first, *rest = result.bits
+        return dataclasses.replace(result, bits=(first ^ 1, *rest))
 
     monkeypatch.setattr(protocols, "run_protocol", run)
 
@@ -306,7 +316,7 @@ def miscounting_bob(monkeypatch):
     def schedule(width):
         steps, output = real(width)
         low = steps[width - 1]  # Bob's last count bit
-        wrong = SendStep("B", "A", lambda word, received: low.fn(word, received) ^ 1)
+        wrong = SendStep("B", lambda word: low.fn(word) ^ 1)
         return steps[: width - 1] + (wrong,) + steps[width:], output
 
     monkeypatch.setattr(protocols, "_count_schedule", schedule)
