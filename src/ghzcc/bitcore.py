@@ -9,7 +9,6 @@ has bit y set when f(x, y) = 1, with x and y the words' packed `bits`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterator
 
 MAX_LENGTH = 32
@@ -32,18 +31,62 @@ class InvariantViolation(Exception):
     """
 
 
-@dataclass(frozen=True)
-class BitString:
+class ExactnessError(ArithmeticError):
+    """A state left qsim's exact (p, q) representation; caller bug.
+
+    Defined here so that cli catches it without importing qsim.
+    """
+
+
+_set = object.__setattr__
+
+
+class FrozenValue:
+    """An immutable value: its __slots__ are its fields, set once by __init__.
+
+    Equality, hashing and repr go by the fields in slot order, as a frozen
+    dataclass's would; assigning or deleting a field raises AttributeError.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class BitString(FrozenValue):
     """Fixed-length binary word; bit i (1-indexed) is stored at 1 << (i-1)."""
 
-    length: int
-    bits: int
+    __slots__ = ("length", "bits")
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.length <= MAX_LENGTH:
-            raise ValueError(f"length must be in 1..{MAX_LENGTH}, got {self.length}")
-        if not 0 <= self.bits < (1 << self.length):
-            raise ValueError(f"bits 0x{self.bits:x} has set bits above length {self.length}")
+    def __init__(self, length: int, bits: int) -> None:
+        if not 1 <= length <= MAX_LENGTH:
+            raise ValueError(f"length must be in 1..{MAX_LENGTH}, got {length}")
+        if not 0 <= bits < (1 << length):
+            raise ValueError(f"bits 0x{bits:x} has set bits above length {length}")
+        _set(self, "length", length)
+        _set(self, "bits", bits)
 
     @classmethod
     def from_str(cls, text: str) -> "BitString":
@@ -74,30 +117,28 @@ class BitString:
         return self.length - self.bits.bit_count()
 
 
-@dataclass(frozen=True)
-class PromiseTriple:
+class PromiseTriple(FrozenValue):
     """Three equal-length words with every column in {001, 010, 100, 111}."""
 
-    x: BitString
-    y: BitString
-    z: BitString
+    __slots__ = ("x", "y", "z")
 
-    def __post_init__(self) -> None:
-        n = self.x.length
-        if self.y.length != n or self.z.length != n:
-            raise PromiseViolation(
-                f"lengths differ: {self.x.length}, {self.y.length}, {self.z.length}"
-            )
+    def __init__(self, x: BitString, y: BitString, z: BitString) -> None:
+        n = x.length
+        if y.length != n or z.length != n:
+            raise PromiseViolation(f"lengths differ: {x.length}, {y.length}, {z.length}")
         # Column promise: x_i + y_i + z_i odd for every i, i.e. the XOR of the
         # three words is all-ones.
         all_ones = (1 << n) - 1
-        bad = (self.x.bits ^ self.y.bits ^ self.z.bits) ^ all_ones
+        bad = (x.bits ^ y.bits ^ z.bits) ^ all_ones
         if bad:
             i = bad.bit_length()  # highest offending column, 1-indexed
             raise PromiseViolation(
-                f"column {i} is {self.x.bit(i)}{self.y.bit(i)}{self.z.bit(i)}, "
+                f"column {i} is {x.bit(i)}{y.bit(i)}{z.bit(i)}, "
                 "not one of 001/010/100/111"
             )
+        _set(self, "x", x)
+        _set(self, "y", y)
+        _set(self, "z", z)
 
     @classmethod
     def from_strs(cls, x: str, y: str, z: str) -> "PromiseTriple":
@@ -169,17 +210,6 @@ def random_promise_triple(n: int, rng) -> PromiseTriple:
         yb |= (code & 1) << i
     zb = ((1 << n) - 1) ^ xb ^ yb
     return PromiseTriple(BitString(n, xb), BitString(n, yb), BitString(n, zb))
-
-
-def reduce_to_inner_product(t: PromiseTriple) -> tuple[BitString, BitString]:
-    """Drop z from a length-3 promise triple; the game value becomes x.y.
-
-    On the promise, z_i = 1 + x_i + y_i, so each AND column collapses to
-    x_i AND y_i and the target equals the two-party inner product of (x, y).
-    """
-    if t.length != 3:
-        raise ValueError(f"reduction is defined for length 3, got {t.length}")
-    return t.x, t.y
 
 
 def _two_party_rows(n: int, f: Callable[[int, int], int]) -> tuple[int, ...]:

@@ -13,10 +13,13 @@ import json
 import random
 import sys
 import time
-from dataclasses import dataclass, field
 from typing import Any
 
-from . import bitcore, lowerbound, protocols, qsim
+from . import bitcore, lowerbound
+
+# The protocol and quantum-simulation layers, imported by the first demo or
+# verify; search and replay never load them.
+protocols = qsim = None
 
 SCHEMA_VERSION = 1
 
@@ -29,14 +32,22 @@ SEARCH_SCOPES = ("paper", "blackboard", "ip3")
 MAX_VERIFY_N = 8
 
 
-@dataclass
+def _load_protocol_layer() -> None:
+    global protocols, qsim
+    if protocols is None:
+        from . import protocols, qsim
+
+
 class Report:
-    command: str
-    params: dict[str, Any]
-    checks: list[dict[str, Any]] = field(default_factory=list)
-    info: list[dict[str, Any]] = field(default_factory=list)
-    elapsed_s: float = 0.0
-    schema: int = SCHEMA_VERSION
+    """One command's checks and notes, rendered by render_machine or render_text."""
+
+    def __init__(self, command: str, params: dict[str, Any]) -> None:
+        self.command = command
+        self.params = params
+        self.checks: list[dict[str, Any]] = []
+        self.info: list[dict[str, Any]] = []
+        self.elapsed_s = 0.0
+        self.schema = SCHEMA_VERSION
 
     @property
     def passed(self) -> bool:
@@ -121,7 +132,7 @@ def _compact(value: Any) -> str:
 
 
 # A law of the package failing at run time: the check it hits fails and names it.
-_FAULTS = (bitcore.InvariantViolation, qsim.ExactnessError)
+_FAULTS = (bitcore.InvariantViolation, bitcore.ExactnessError)
 
 
 def _fault_text(exc: Exception) -> str:
@@ -150,6 +161,7 @@ def _describe_run(report: Report, name: str, run: Any) -> list[str]:
 def cmd_demo(n: int, seed: int) -> Report:
     """Random promise triple through all three protocols, transcripts shown."""
     start = time.perf_counter()
+    _load_protocol_layer()
     report = Report("demo", {"n": n, "seed": seed})
     rng = random.Random(seed)
     t = bitcore.random_promise_triple(n, rng)
@@ -276,6 +288,7 @@ def _verify_cases(report: Report) -> None:
 def cmd_verify(scope: str, n: int, seed: int) -> Report:
     """Exhaustive checks for the chosen scope; any failure flips the exit code."""
     start = time.perf_counter()
+    _load_protocol_layer()
     report = Report("verify", {"scope": scope, "n": n, "seed": seed})
     if scope in ("lemma1", "all"):
         _verify_lemma1(report)

@@ -24,11 +24,10 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .bitcore import PromiseTriple, f_ghz, inner_product_table
+from .bitcore import FrozenValue, PromiseTriple, f_ghz, inner_product_table
 
 ALL3 = 7  # all-ones word of length 3
 _PERMS = tuple(itertools.permutations((0, 1, 2)))
@@ -74,20 +73,20 @@ def _permute_set(values: Iterable[int], perm: tuple[int, int, int]) -> frozenset
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PartitionOfCube:
+class PartitionOfCube(FrozenValue):
     """Bob's one-bit broadcast as a subset mask: bit y set means phi(y) = 1.
 
     Normalized so that 000 lands in class 0.
     """
 
-    mask: int
+    __slots__ = ("mask",)
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.mask <= 255:
-            raise ValueError(f"mask {self.mask} outside 0..255")
-        if self.mask & 1:
+    def __init__(self, mask: int) -> None:
+        if not 0 <= mask <= 255:
+            raise ValueError(f"mask {mask} outside 0..255")
+        if mask & 1:
             raise ValueError("normalization requires 000 in class 0")
+        object.__setattr__(self, "mask", mask)
 
     def phi(self, y: int) -> int:
         return (self.mask >> y) & 1
@@ -116,8 +115,7 @@ def enumerate_partitions() -> Iterator[PartitionOfCube]:
         yield PartitionOfCube(mask)
 
 
-@dataclass(frozen=True)
-class TogetherApartConstraints:
+class TogetherApartConstraints(NamedTuple):
     """What a correct one-bit split of z-space is forced to do.
 
     apart: z pairs whose answer values differ for some receiver input, so
@@ -131,8 +129,7 @@ class TogetherApartConstraints:
     feasible: bool
 
 
-@dataclass(frozen=True)
-class CarolFeasibility:
+class CarolFeasibility(NamedTuple):
     x_values: tuple[str, ...]
     bob_class: tuple[str, ...]
     candidates: Mapping[str, tuple[tuple[str, str, int], ...]]
@@ -222,15 +219,13 @@ def carol_partition_feasible(xs, bob_class) -> CarolFeasibility:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CaseProbe:
+class CaseProbe(NamedTuple):
     x: str
     tuples: tuple[tuple[str, str, str], ...]
     f_values: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class CaseWitness:
+class CaseWitness(NamedTuple):
     case_id: str
     header: str
     class_side: int  # which broadcast class the witness inputs sit in
@@ -381,8 +376,7 @@ CASES: dict[str, CaseWitness] = {
 }
 
 
-@dataclass(frozen=True)
-class CaseReport:
+class CaseReport(NamedTuple):
     case_id: str
     header: str
     tuple_checks: tuple[tuple[str, int, int, bool], ...]  # ((x,y,z), expected, got, ok)
@@ -449,16 +443,14 @@ def replay_case(case_id: str) -> CaseReport:
     return CaseReport(case_id, witness.header, tuple(tuple_checks), feas, tuple(failures))
 
 
-@dataclass(frozen=True)
-class CoverageAssignment:
+class CoverageAssignment(NamedTuple):
     partition: PartitionOfCube
     case_id: str
     perm: tuple[int, int, int]
     verified: bool
 
 
-@dataclass(frozen=True)
-class CoverageReport:
+class CoverageReport(NamedTuple):
     total: int
     assignments: tuple[CoverageAssignment, ...]
     unmapped: tuple[PartitionOfCube, ...]
@@ -545,7 +537,6 @@ def _split_bitmap(row: int, s: int, full: int) -> int:
     return free << hits | free << (s ^ hits)
 
 
-@dataclass(frozen=True)
 class _Game:
     """A promise game as the receiver A sees it, packed for fiber counting.
 
@@ -554,12 +545,19 @@ class _Game:
     pulls[speaker][x][m] is the y-subset on which the speaker writes 1 under
     mask m, given x. The receiver's pull is None, because her bit depends on
     x alone. More parties mean more pulls; the counting does not change.
+    full is the all-y mask: message masks run over 0..full.
     """
 
-    rows: tuple[int, ...]
-    pulls: Mapping[str, tuple[Sequence[int], ...] | None]
-    full: int  # the all-y mask; message masks run over 0..full
-    memo: dict = field(default_factory=dict, repr=False, compare=False)
+    def __init__(
+        self,
+        rows: tuple[int, ...],
+        pulls: Mapping[str, tuple[Sequence[int], ...] | None],
+        full: int,
+    ) -> None:
+        self.rows = rows
+        self.pulls = pulls
+        self.full = full
+        self.memo: dict = {}
 
     def class_masks(self, speaker: str, fn_mask: int, bit: int) -> tuple[int, ...]:
         """Per-x y-subsets consistent with `speaker` writing `bit` via fn_mask."""
@@ -623,8 +621,7 @@ def _two_party_game(rows: Sequence[int]) -> _Game:
     return _Game(tuple(rows), {"A": None, "B": (range(1 << size),) * size}, full)
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     name: str
     feasible: int
     candidates: int
@@ -667,19 +664,6 @@ def _count_protocols(
     )
 
 
-def carol_response_count(y_class: Iterable[int]) -> int:
-    """How many one-bit z-message functions serve a fixed broadcast class.
-
-    Counts masks m over z such that, for every receiver input x, the game
-    value is constant on both fibers of the class under z -> m-bit. This is
-    the enumeration-side counterpart of the 2-coloring feasibility check.
-    """
-    class_mask = 0
-    for y in y_class:
-        class_mask |= 1 << _as_value(y)
-    return _ghz_game().branch_counts((class_mask,) * 8, ("C",))[0]
-
-
 def search_bob_broadcast_carol(workers: int = 1) -> SearchResult:
     """Count correct (broadcast, response) pairs: 256 phi x 65536 psi.
 
@@ -707,29 +691,6 @@ def search_blackboard_two_bit(workers: int = 1) -> SearchResult:
     return _count_protocols("blackboard_two_bit", _ghz_game(), _SPEAKERS, _SPEAKERS, workers)
 
 
-@dataclass(frozen=True)
-class ProtocolCandidate:
-    """One explicit two-bit blackboard protocol, for spot checks against the search.
-
-    first_fn and the second_fns are subset masks over the respective
-    speaker's 3-bit word (bit v set means the speaker writes 1 on input v);
-    the second speaker and function are chosen by the first bit's value.
-    """
-
-    first_speaker: str
-    first_fn: int
-    second_speakers: tuple[str, str]
-    second_fns: tuple[int, int]
-
-    def __post_init__(self) -> None:
-        for sp in (self.first_speaker, *self.second_speakers):
-            if sp not in _SPEAKERS:
-                raise ValueError(f"unknown speaker {sp!r}")
-        for fn in (self.first_fn, *self.second_fns):
-            if not 0 <= fn <= 255:
-                raise ValueError(f"message function mask {fn} outside 0..255")
-
-
 def _fibers_constant(size: int, value, transcript) -> bool:
     """Is value(x, y) constant on every (x, transcript(x, y)) fiber?
 
@@ -742,21 +703,6 @@ def _fibers_constant(size: int, value, transcript) -> bool:
             if seen.setdefault(transcript(x, y), v) != v:
                 return False
     return True
-
-
-def candidate_feasible(candidate: ProtocolCandidate) -> bool:
-    """Direct fiber check for one explicit candidate (no bitmask machinery).
-
-    Used as an independent oracle against the packed search counting.
-    """
-
-    def transcript(x: int, y: int) -> tuple[int, int]:
-        words = {"A": x, "B": y, "C": third_word(x, y)}
-        b1 = (candidate.first_fn >> words[candidate.first_speaker]) & 1
-        sp2 = candidate.second_speakers[b1]
-        return b1, (candidate.second_fns[b1] >> words[sp2]) & 1
-
-    return _fibers_constant(8, f3, transcript)
 
 
 def three_bit_messages_feasible() -> bool:
@@ -823,4 +769,4 @@ def send_all_bits_feasible(rows: Sequence[int]) -> bool:
 def search_two_party_ip3(workers: int = 1) -> SearchResult:
     """Two-bit search for the length-3 inner product (expected count: 0)."""
     result = search_two_party_two_bit(inner_product_table(3), workers=workers)
-    return replace(result, name="two_party_ip3")
+    return result._replace(name="two_party_ip3")

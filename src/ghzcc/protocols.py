@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Callable, Mapping, Sequence
 
+# f_ghz is unused here, but perfbench/spans.py traces ghzcc.protocols.f_ghz.
 from .bitcore import BitString, InvariantViolation, PromiseTriple, f_ghz, f_inner_product
 from .qsim import outcome_distribution, sample_outcome, transformed_state
 
@@ -41,7 +42,9 @@ class RunResult:
 
     @property
     def transcript(self) -> str:
-        return " ".join(f"{step.sender}->A:{bit}" for step, bit in zip(self.steps, self.bits))
+        """Every bit as "S->A:b"; a bit no step scheduled shows "?" as its sender."""
+        scheduled = [f"{step.sender}->A:{bit}" for step, bit in zip(self.steps, self.bits)]
+        return " ".join(scheduled + [f"?->A:{bit}" for bit in self.bits[len(self.steps):]])
 
 
 @dataclass(frozen=True)
@@ -296,12 +299,3 @@ def quantum_output_support(t: PromiseTriple) -> set[int]:
     # s_A ^ s_B ^ s_C is the parity of every bit of the joint outcome.
     return {sum(map(sum, combo)) & 1 for combo in itertools.product(*per_column)}
 
-
-def protocol_agreement(t: PromiseTriple, rng) -> dict[str, int]:
-    """Run all three protocols on t and return their outputs plus the direct value."""
-    return {
-        "direct": f_ghz(t),
-        "quantum_two_bit": run_quantum_two_bit(t, rng).output,
-        "classical_three_bit": run_classical_three_bit(t).output,
-        "classical_count": run_classical_count(t).output,
-    }

@@ -4,7 +4,13 @@ Reference values are computed by string-level oracles (per-character sums)
 that never touch the packed integer representation under test.
 """
 
+import copy
+import os
+import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -21,8 +27,9 @@ from ghzcc.bitcore import (
     inner_product_table,
     parity_table,
     random_promise_triple,
-    reduce_to_inner_product,
 )
+from ghzcc.lowerbound import PartitionOfCube
+from oracles import reduce_to_inner_product
 
 
 def ref_parity(x: str, y: str) -> int:
@@ -229,6 +236,100 @@ class TestRandomPromiseTriple:
     def test_large_n(self):
         t = random_promise_triple(32, random.Random(3))
         assert t.length == 32
+
+
+# Each bad construction with the error it raises, type and text.
+BAD_VALUES = (
+    ("BitString(0, 0)", "ValueError: length must be in 1..32, got 0"),
+    ("BitString(33, 0)", "ValueError: length must be in 1..32, got 33"),
+    ("BitString(2, 4)", "ValueError: bits 0x4 has set bits above length 2"),
+    (
+        "PromiseTriple(BitString(2, 0), BitString(3, 0), BitString(3, 7))",
+        "PromiseViolation: lengths differ: 2, 3, 3",
+    ),
+    (
+        "PromiseTriple.from_strs('001', '001', '110')",
+        "PromiseViolation: column 3 is 110, not one of 001/010/100/111",
+    ),
+    ("PartitionOfCube(256)", "ValueError: mask 256 outside 0..255"),
+    ("PartitionOfCube(-2)", "ValueError: mask -2 outside 0..255"),
+    ("PartitionOfCube(1)", "ValueError: normalization requires 000 in class 0"),
+)
+
+# Prints each BAD_VALUES construction's error; run both in-process and under -O.
+CONSTRUCTION_ERRORS = f"""
+from ghzcc.bitcore import BitString, PromiseTriple
+from ghzcc.lowerbound import PartitionOfCube
+for source in {[source for source, _ in BAD_VALUES]!r}:
+    try:
+        eval(source)
+        print("accepted " + source)
+    except ValueError as exc:
+        print(f"{{type(exc).__name__}}: {{exc}}")
+"""
+
+
+class TestValueTypes:
+    """BitString, PromiseTriple and PartitionOfCube behave as frozen values."""
+
+    def values(self):
+        t = PromiseTriple.from_strs("001", "001", "111")
+        return (bs("101"), t, PartitionOfCube(6))
+
+    def test_fields_refuse_assignment_and_deletion(self):
+        for value in self.values():
+            for name in (*type(value).__slots__, "extra"):
+                with pytest.raises(AttributeError):
+                    setattr(value, name, 0)
+                with pytest.raises(AttributeError):
+                    delattr(value, name)
+        w = bs("101")
+        with pytest.raises(AttributeError, match="cannot assign to field 'bits'"):
+            w.bits = 0
+        assert (w.length, w.bits) == (3, 5)
+
+    def test_equality_and_hash_go_by_fields(self):
+        w, t, partition = self.values()
+        assert BitString(3, 5) == w and hash(w) == hash((3, 5))
+        assert BitString(3, 5) != (3, 5)
+        assert BitString(3, 5) != BitString(4, 5)
+        assert BitString(3, 5) != BitString(3, 4)
+        assert t == PromiseTriple(BitString(3, 4), BitString(3, 4), BitString(3, 7))
+        assert hash(t) == hash((t.x, t.y, t.z))
+        assert t != (t.x, t.y, t.z)
+        assert partition == PartitionOfCube(6) and hash(partition) == hash((6,))
+        assert partition != PartitionOfCube(4) and partition != (6,)
+        assert len({w, BitString(3, 5), t, partition, PartitionOfCube(6)}) == 3
+
+    def test_repr(self):
+        w, t, partition = self.values()
+        assert repr(w) == "BitString(length=3, bits=5)"
+        assert repr(t) == (
+            "PromiseTriple(x=BitString(length=3, bits=4), "
+            "y=BitString(length=3, bits=4), z=BitString(length=3, bits=7))"
+        )
+        assert repr(partition) == "PartitionOfCube(mask=6)"
+
+    def test_copy_and_pickle_round_trip(self):
+        for value in self.values():
+            assert copy.copy(value) == value
+            assert copy.deepcopy(value) == value
+            assert pickle.loads(pickle.dumps(value)) == value
+
+    def test_validation_error_texts(self, capsys):
+        exec(CONSTRUCTION_ERRORS, {})
+        assert capsys.readouterr().out.splitlines() == [error for _, error in BAD_VALUES]
+
+    def test_validation_survives_optimized_mode(self):
+        # python -O strips assert statements; every rejection must remain.
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", CONSTRUCTION_ERRORS],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [error for _, error in BAD_VALUES]
 
 
 class TestReduction:

@@ -25,10 +25,7 @@ from ghzcc.cli import SEARCH_SCOPES, cmd_search
 from ghzcc.lowerbound import (
     CASES,
     PartitionOfCube,
-    ProtocolCandidate,
-    candidate_feasible,
     carol_partition_feasible,
-    carol_response_count,
     case_cover_check,
     enumerate_partitions,
     f3,
@@ -42,6 +39,7 @@ from ghzcc.lowerbound import (
     third_word,
     three_bit_messages_feasible,
 )
+from oracles import ProtocolCandidate, candidate_feasible, carol_response_count
 
 
 def ref_ghz(x: str, y: str, z: str) -> int:
@@ -324,6 +322,7 @@ def _naive_second_counts(sp1: str, m1: int, b: int) -> tuple[int, int, int]:
 class TestTwoPartySearches:
     def test_ip3_two_bit_zero(self):
         result = search_two_party_ip3()
+        assert result.name == "two_party_ip3"
         assert result.feasible == 0
         assert result.candidates == 512 * 512 * 512
 

@@ -25,7 +25,6 @@ from ghzcc.protocols import (
     CountSummary,
     audit_run,
     count_summary,
-    protocol_agreement,
     quantum_output_support,
     run_classical_count,
     run_classical_three_bit,
@@ -33,6 +32,7 @@ from ghzcc.protocols import (
     run_parity_one_bit,
     run_quantum_two_bit,
 )
+from oracles import protocol_agreement
 
 
 def bs(text: str) -> BitString:
@@ -294,6 +294,14 @@ class TestAudit:
             report = audit_run(dataclasses.replace(result, bits=result.bits[:-1]))
             assert not report.passed
             assert f"{cost - 1} records for {cost} scheduled steps" in report.failures
+
+    def test_transcript_shows_an_unscheduled_bit(self):
+        result = run_classical_three_bit(PromiseTriple.from_strs("001", "001", "111"))
+        assert result.transcript == "B->A:1 B->A:0 C->A:0"
+        smuggled = dataclasses.replace(result, bits=result.bits + (1,))
+        assert smuggled.cost == 4
+        assert smuggled.transcript == "B->A:1 B->A:0 C->A:0 ?->A:1"
+        assert "4 records for 3 scheduled steps" in audit_run(smuggled).failures
 
     def test_result_without_replay_data_fails_closed(self):
         bare = dataclasses.replace(
