@@ -705,6 +705,11 @@ def _fibers_constant(size: int, value, transcript) -> bool:
     return True
 
 
+def _three_bit_transcript(x: int, y: int) -> tuple[int, int]:
+    z = third_word(x, y)
+    return (3 - y.bit_count()) & 3, ((3 - z.bit_count()) & 3) >> 1
+
+
 def three_bit_messages_feasible() -> bool:
     """Run the three-bit protocol's message functions through the fiber check.
 
@@ -713,12 +718,7 @@ def three_bit_messages_feasible() -> bool:
     (x, transcript) fiber, which certifies that a three-bit budget is
     attainable in the same model the two-bit search exhausts.
     """
-
-    def transcript(x: int, y: int) -> tuple[int, int]:
-        z = third_word(x, y)
-        return (3 - y.bit_count()) & 3, ((3 - z.bit_count()) & 3) >> 1
-
-    return _fibers_constant(8, f3, transcript)
+    return _fibers_constant(8, f3, _three_bit_transcript)
 
 
 # ---------------------------------------------------------------------------

@@ -8,14 +8,15 @@ audit_run can re-derive both: the information-locality contract.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Callable, Mapping, Sequence
 
 # f_ghz is unused here, but perfbench/spans.py traces ghzcc.protocols.f_ghz.
-from .bitcore import BitString, InvariantViolation, PromiseTriple, f_ghz, f_inner_product
-from .qsim import outcome_distribution, sample_outcome, transformed_state
+from .bitcore import (
+    BitString, InvariantViolation, PromiseTriple, _check_equal_lengths, f_ghz, f_inner_product
+)
+from .qsim import sample_outcome, transformed_state
 
 
 @dataclass(frozen=True)
@@ -164,138 +165,99 @@ def run_quantum_two_bit(t: PromiseTriple, rng) -> RunResult:
     return run_protocol(inputs, _QUANTUM_STEPS, _quantum_output)
 
 
-def _high_count_bit(word):
-    return (word.count_zeros() >> 1) & 1
+def _count_bit(pos: int):
+    def fn(word):
+        return (word.count_zeros() >> pos) & 1
 
-
-def _low_count_bit(word):
-    return word.count_zeros() & 1
-
-
-def _three_bit_output(word, received):
-    n = word.length
-    r_a = word.count_zeros()
-    rb_mod4 = (received[0] << 1) | received[1]
-    rc_low = (r_a + rb_mod4) & 1
-    rc_mod4 = (received[2] << 1) | rc_low
-    doubled_k_mod4 = (r_a + rb_mod4 + rc_mod4) & 3
-    if doubled_k_mod4 & 1:
-        raise InvariantViolation("zero-count total must be even on the promise")
-    k_parity = doubled_k_mod4 >> 1
-    return (n - k_parity) & 1
-
-
-_THREE_BIT_STEPS = (
-    SendStep("B", _high_count_bit),
-    SendStep("B", _low_count_bit),
-    SendStep("C", _high_count_bit),
-)
-
-
-def run_classical_three_bit(t: PromiseTriple) -> RunResult:
-    """Three-bit classical protocol.
-
-    Bob sends his zero count mod 4 (high bit then low bit). Carol sends only
-    the high bit of hers: the low bit is forced, because the three zero
-    counts sum to an even number, so Alice recovers it as (r_A + r_B) mod 2.
-    From the sum mod 4 Alice gets the parity of the AND-zero column count k
-    and outputs (n - k) mod 2.
-    """
-    count_summary(t)  # checks r_A + r_B + r_C = 2k
-    inputs = {"A": t.x, "B": t.y, "C": t.z}
-    return run_protocol(inputs, _THREE_BIT_STEPS, _three_bit_output)
+    return fn
 
 
 @lru_cache(maxsize=None)
-def _count_schedule(width: int) -> tuple:
-    """Send steps and Alice's output for counts sent as width-bit big-endian fields."""
+def _count_schedule(width: int, carol_drops_low: bool = False) -> tuple:
+    """Send steps and Alice's output for zero counts sent as width-bit big-endian fields.
 
-    def count_bit(pos: int):
-        def fn(word):
-            return (word.count_zeros() >> pos) & 1
-
-        return fn
+    Every bit reads only its sender's zero count. With carol_drops_low Carol
+    omits her low bit, which r_A + r_B + r_C = 2k forces to (r_A + r_B) mod 2.
+    Exact or mod 2**width (width >= 2), half the total has k's parity, and
+    Alice outputs (n - k) mod 2.
+    """
 
     def alice_output(word, received):
-        r_b = 0
-        r_c = 0
+        r_a = word.count_zeros()
+        r_b = r_c = 0
         for bit in received[:width]:
             r_b = (r_b << 1) | bit
         for bit in received[width:]:
             r_c = (r_c << 1) | bit
-        total = word.count_zeros() + r_b + r_c
+        if carol_drops_low:
+            r_c = (r_c << 1) | ((r_a + r_b) & 1)
+        total = r_a + r_b + r_c
         if total % 2:
             raise InvariantViolation(f"zero-count total {total} is odd")
-        k = total // 2
-        return (word.length - k) & 1
+        return (word.length - total // 2) & 1
 
-    steps = tuple(
-        SendStep(party, count_bit(pos))
-        for party in ("B", "C")
-        for pos in range(width - 1, -1, -1)
+    steps = tuple(SendStep("B", _count_bit(pos)) for pos in range(width - 1, -1, -1))
+    steps += tuple(
+        SendStep("C", _count_bit(pos)) for pos in range(width - 1, carol_drops_low - 1, -1)
     )
     return steps, alice_output
 
 
-def run_classical_count(t: PromiseTriple) -> RunResult:
-    """Full-count protocol: Bob and Carol each send their zero count.
-
-    Counts go as fixed-width big-endian fields of ceil(log2(n+1)) bits, so
-    the cost is 2*ceil(log2(n+1)). Alice reconstructs k exactly and outputs
-    (n - k) mod 2.
-    """
+def _run_counts(t: PromiseTriple, schedule: tuple) -> RunResult:
     count_summary(t)  # checks r_A + r_B + r_C = 2k
-    steps, alice_output = _count_schedule(t.length.bit_length())
-    inputs = {"A": t.x, "B": t.y, "C": t.z}
-    return run_protocol(inputs, steps, alice_output)
+    steps, alice_output = schedule
+    return run_protocol({"A": t.x, "B": t.y, "C": t.z}, steps, alice_output)
+
+
+def run_classical_three_bit(t: PromiseTriple) -> RunResult:
+    """Three-bit classical protocol: the zero counts mod 4, Carol's forced low bit dropped.
+
+    Bob sends r_B mod 4 and Carol the high bit of r_C mod 4; from the sum
+    mod 4 Alice gets the parity of the AND-zero column count k.
+    """
+    return _run_counts(t, _count_schedule(2, True))
+
+
+def run_classical_count(t: PromiseTriple) -> RunResult:
+    """Full-count protocol: Bob and Carol each send their exact zero count.
+
+    The fields are ceil(log2(n+1)) bits wide, so the cost is 2*ceil(log2(n+1)).
+    """
+    return _run_counts(t, _count_schedule(t.length.bit_length()))
+
+
+def _parity_output(word, received):
+    return word.parity() ^ received[0]
+
+
+_PARITY_STEPS = (SendStep("B", BitString.parity),)
 
 
 def run_parity_one_bit(x: BitString, y: BitString) -> RunResult:
     """Two-party parity: Bob's single bit is the XOR of his word."""
-    if x.length != y.length:
-        raise ValueError(f"length mismatch: {x.length} vs {y.length}")
-    inputs = {"A": x, "B": y}
+    _check_equal_lengths(x, y)
+    return run_protocol({"A": x, "B": y}, _PARITY_STEPS, _parity_output)
 
-    def bob_parity(word):
-        return word.parity()
 
-    def alice_output(word, received):
-        return word.parity() ^ received[0]
+def _word_bit(i: int):
+    def fn(word):
+        return word.bit(i)
 
-    return run_protocol(inputs, (SendStep("B", bob_parity),), alice_output)
+    return fn
+
+
+@lru_cache(maxsize=None)
+def _word_steps(length: int) -> tuple[SendStep, ...]:
+    """Bob sends his word bit by bit, position 1 first."""
+    return tuple(SendStep("B", _word_bit(i)) for i in range(1, length + 1))
+
+
+def _ip_output(word, received):
+    other = sum(bit << i for i, bit in enumerate(received))
+    return f_inner_product(word, BitString(len(received), other))
 
 
 def run_ip_trivial(x: BitString, y: BitString) -> RunResult:
     """Two-party inner product the blunt way: Bob sends his whole word."""
-    if x.length != y.length:
-        raise ValueError(f"length mismatch: {x.length} vs {y.length}")
-    inputs = {"A": x, "B": y}
-
-    def word_bit(i: int):
-        def fn(word):
-            return word.bit(i)
-
-        return fn
-
-    def alice_output(word, received):
-        other = BitString.from_str("".join(str(b) for b in received))
-        return f_inner_product(word, other)
-
-    steps = tuple(SendStep("B", word_bit(i)) for i in range(1, y.length + 1))
-    return run_protocol(inputs, steps, alice_output)
-
-
-def quantum_output_support(t: PromiseTriple) -> set[int]:
-    """Every output value the quantum protocol can produce on t.
-
-    Enumerates the full product of per-column outcome supports instead of
-    sampling; the set must be the singleton {f_ghz(t)}. Exponential in n,
-    intended for small n.
-    """
-    per_column = [
-        [outcome.bits for outcome in outcome_distribution(transformed_state(col))]
-        for col in t.columns()
-    ]
-    # s_A ^ s_B ^ s_C is the parity of every bit of the joint outcome.
-    return {sum(map(sum, combo)) & 1 for combo in itertools.product(*per_column)}
-
+    _check_equal_lengths(x, y)
+    return run_protocol({"A": x, "B": y}, _word_steps(y.length), _ip_output)

@@ -3,18 +3,20 @@
 Each function here is an independent oracle for something the package
 computes another way: explicit candidates against the search counts, a
 per-class response count against the 2-coloring check, the two-party
-reduction behind the imported inner-product fact, and a cross-protocol
-agreement check.
+reduction behind the imported inner-product fact, a cross-protocol
+agreement check, and the quantum protocol's full output support.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
 from ghzcc.bitcore import BitString, PromiseTriple, f_ghz
 from ghzcc.lowerbound import _SPEAKERS, _as_value, _fibers_constant, _ghz_game, f3, third_word
 from ghzcc.protocols import run_classical_count, run_classical_three_bit, run_quantum_two_bit
+from ghzcc.qsim import outcome_distribution, transformed_state
 
 
 def reduce_to_inner_product(t: PromiseTriple) -> tuple[BitString, BitString]:
@@ -87,3 +89,18 @@ def candidate_feasible(candidate: ProtocolCandidate) -> bool:
         return b1, (candidate.second_fns[b1] >> words[sp2]) & 1
 
     return _fibers_constant(8, f3, transcript)
+
+
+def quantum_output_support(t: PromiseTriple) -> set[int]:
+    """Every output value the quantum protocol can produce on t.
+
+    Enumerates the full product of per-column outcome supports instead of
+    sampling; the set must be the singleton {f_ghz(t)}. Exponential in n,
+    intended for small n.
+    """
+    per_column = [
+        [outcome.bits for outcome in outcome_distribution(transformed_state(col))]
+        for col in t.columns()
+    ]
+    # s_A ^ s_B ^ s_C is the parity of every bit of the joint outcome.
+    return {sum(map(sum, combo)) & 1 for combo in itertools.product(*per_column)}

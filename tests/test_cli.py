@@ -241,6 +241,9 @@ GOLDEN = Path(__file__).parent / "golden"
         (["demo", "--n", "32", "--seed", "0"], "demo_n32_seed0.jsonl"),
         (["demo", "--n", "32", "--seed", "7"], "demo_n32_seed7.jsonl"),
         (["verify", "--scope", "all", "--n", "3", "--seed", "0"], "verify_all_n3_seed0.jsonl"),
+        (["demo", "--n", "5", "--seed", "0"], "demo_n5_seed0.jsonl"),
+        (["demo", "--n", "12", "--seed", "0"], "demo_n12_seed0.jsonl"),
+        (["demo", "--n", "20", "--seed", "0"], "demo_n20_seed0.jsonl"),
     ],
 )
 def test_machine_report_matches_golden(argv, golden, capsys):
@@ -313,8 +316,8 @@ def wrong_bit_on_the_wire(monkeypatch):
 def miscounting_bob(monkeypatch):
     real = protocols._count_schedule
 
-    def schedule(width):
-        steps, output = real(width)
+    def schedule(width, *rest):
+        steps, output = real(width, *rest)
         low = steps[width - 1]  # Bob's last count bit
         wrong = SendStep("B", lambda word: low.fn(word) ^ 1)
         return steps[: width - 1] + (wrong,) + steps[width:], output
@@ -351,6 +354,18 @@ def test_injected_fault_fails_verify_with_witness(
     assert not failed["passed"]
     assert failed["witness"]["triple"] == FIRST_TRIPLE
     assert failed["witness"]["reason"].startswith(reason)
+
+
+def test_miscount_reaches_the_three_bit_protocol(monkeypatch, capsys):
+    # Both classical protocols share the count schedule, so flipping Bob's low
+    # count bit also corrupts the three-bit run. Its even total still decodes,
+    # to the wrong parity of k.
+    miscounting_bob(monkeypatch)
+    argv = ["verify", "--scope", "classical", "--n", "1", "--format", "machine"]
+    assert main(argv) == EXIT_CHECK_FAILED
+    witness = machine_checks(capsys.readouterr().out)["classical_three_bit_n1"]["witness"]
+    assert witness["triple"] == "(x=1, y=0, z=0)"
+    assert witness["reason"] == "output 1, expected 0"
 
 
 def test_wrong_bit_witness_carries_transcript_and_audit_failures(monkeypatch):

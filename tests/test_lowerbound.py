@@ -15,6 +15,7 @@ import pytest
 from ghzcc.bitcore import (
     BitString,
     PromiseTriple,
+    enumerate_promise,
     f_ghz,
     f_inner_product,
     f_parity,
@@ -25,6 +26,8 @@ from ghzcc.cli import SEARCH_SCOPES, cmd_search
 from ghzcc.lowerbound import (
     CASES,
     PartitionOfCube,
+    _as_value,
+    _three_bit_transcript,
     carol_partition_feasible,
     case_cover_check,
     enumerate_partitions,
@@ -39,6 +42,7 @@ from ghzcc.lowerbound import (
     third_word,
     three_bit_messages_feasible,
 )
+from ghzcc.protocols import run_classical_three_bit
 from oracles import ProtocolCandidate, candidate_feasible, carol_response_count
 
 
@@ -229,6 +233,14 @@ class TestBroadcastSearch:
 
     def test_three_bit_messages_pass_the_same_fiber_check(self):
         assert three_bit_messages_feasible()
+
+    def test_three_bit_messages_match_the_protocol(self):
+        # The fiber check re-implements Bob's and Carol's messages on packed
+        # words; both copies must send the same bits on every triple.
+        for t in enumerate_promise(3):
+            b0, b1, b2 = run_classical_three_bit(t).bits
+            x, y = _as_value(str(t.x)), _as_value(str(t.y))
+            assert _three_bit_transcript(x, y) == ((b0 << 1) | b1, b2), t
 
 
 class TestBlackboardSearch:
