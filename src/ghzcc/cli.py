@@ -65,31 +65,28 @@ class Report:
         self.info.append(entry)
 
 
-_SCALARS = (str, int, float, bool, type(None))
-
-
-def _jsonable(value: Any) -> Any:
-    if isinstance(value, _SCALARS):
-        return value
-    if isinstance(value, dict):
-        return {
-            str(k): v if isinstance(v, _SCALARS) else _jsonable(v) for k, v in value.items()
-        }
-    if isinstance(value, (list, tuple, set, frozenset)):
-        items = sorted(value, key=str) if isinstance(value, (set, frozenset)) else value
-        return [_jsonable(v) for v in items]
+def _default(value: Any) -> Any:
+    """JSON form of a value the encoder has no rule for: sets sorted by str, else str."""
+    if isinstance(value, (set, frozenset)):
+        return sorted(value, key=str)
     return str(value)
 
 
-# json.dumps(..., sort_keys=True) without a new encoder per line; no cycles.
-_encode = json.JSONEncoder(sort_keys=True, check_circular=False).encode
+# json.dumps(..., sort_keys=True) with that hook, no cycle check, and one C
+# encoder per process: JSONEncoder.encode builds a new one on every call.
+_json = json.JSONEncoder(sort_keys=True, check_circular=False, default=_default)
+_encode = (_json.encode if json.encoder.c_make_encoder is None else
+           lambda record, _iterencode=json.encoder.c_make_encoder(
+               None, _json.default, json.encoder.encode_basestring_ascii, _json.indent,
+               _json.key_separator, _json.item_separator, _json.sort_keys,
+               _json.skipkeys, _json.allow_nan): "".join(_iterencode(record, 0)))
 
 
 def render_machine(report: Report) -> str:
     records = [{"type": "header", "schema": report.schema, "command": report.command,
-                "params": _jsonable(report.params)}]
-    records += ({"type": "info", **_jsonable(entry)} for entry in report.info)
-    records += ({"type": "check", **_jsonable(entry)} for entry in report.checks)
+                "params": report.params}]
+    records += ({"type": "info", **entry} for entry in report.info)
+    records += ({"type": "check", **entry} for entry in report.checks)
     failed = sum(1 for c in report.checks if not c["passed"])
     records.append({"type": "summary", "passed": report.passed,
                     "checks": len(report.checks), "failed": failed})

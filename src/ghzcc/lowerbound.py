@@ -59,13 +59,13 @@ def f3(x: int, y: int) -> int:
     return (x & y & z).bit_count() & 1
 
 
-def _permute_val(v: int, perm: tuple[int, int, int]) -> int:
-    s = _s(v)
-    return int("".join(s[perm[i]] for i in range(3)), 2)
+# _PERMUTED[perm][v]: word v with digit i (from the left) taken from digit perm[i].
+_PERMUTED = {perm: tuple(sum(((v >> (2 - p)) & 1) << (2 - i) for i, p in enumerate(perm))
+                         for v in range(8)) for perm in _PERMS}
 
 
 def _permute_set(values: Iterable[int], perm: tuple[int, int, int]) -> frozenset[int]:
-    return frozenset(_permute_val(v, perm) for v in values)
+    return frozenset(map(_PERMUTED[perm].__getitem__, values))
 
 
 # ---------------------------------------------------------------------------

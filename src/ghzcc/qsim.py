@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .bitcore import LEGAL_COLUMNS, ExactnessError, InvariantViolation
+from .bitcore import LEGAL_COLUMNS, ExactnessError, InvariantViolation, PromiseTriple
 
 PARTIES = ("A", "B", "C")
 # Basis strings are read b_A b_B b_C, so party A owns the high bit.
@@ -194,3 +194,31 @@ def sample_outcome(state: TripleState, rng) -> Outcome:
         if u < threshold:
             return outcome
     return table[-1][1]
+
+
+@lru_cache(maxsize=None)
+def _column_tables() -> tuple:
+    """Each legal column's (threshold, bits) rows by code x << 1 | y, checked against Lemma 1."""
+    tables = []
+    for column in LEGAL_COLUMNS:
+        table = tuple((u, outcome.bits) for u, outcome in _cumulative(transformed_state(column)))
+        if table[-1][0] != 1.0:
+            raise InvariantViolation(f"outcome table of {column} ends at {table[-1][0]}, not 1.0")
+        if {sum(bits) & 1 for _, bits in table} != {column[0] & column[1] & column[2]}:
+            raise InvariantViolation(f"an outcome of {column} has parity other than its AND")
+        tables.append(table)
+    return tuple(tables)
+
+
+def sample_columns(t: PromiseTriple, rng) -> tuple[tuple[int, ...], ...]:
+    """Per-party outcome bits of t's columns; each column takes one rng.random(), as in
+    sample_outcome, so a seeded run draws what per-column sample_outcome calls draw."""
+    tables, x, y, draw = _column_tables(), t.x.bits, t.y.bits, rng.random
+    drawn = []
+    for i in range(t.length):
+        u = draw()
+        for threshold, bits in tables[((x >> i) & 1) << 1 | ((y >> i) & 1)]:
+            if u < threshold:
+                break
+        drawn.append(bits)
+    return tuple(zip(*drawn))

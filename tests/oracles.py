@@ -4,17 +4,23 @@ Each function here is an independent oracle for something the package
 computes another way: explicit candidates against the search counts, a
 per-class response count against the 2-coloring check, the two-party
 reduction behind the imported inner-product fact, a cross-protocol
-agreement check, and the quantum protocol's full output support.
+agreement check, the quantum protocol's full output support, the string
+form of the bit-position permutation, and the machine renderer that walks
+every value before encoding each record with a new encoder.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Any, Iterable
 
 from ghzcc.bitcore import BitString, PromiseTriple, f_ghz
-from ghzcc.lowerbound import _SPEAKERS, _as_value, _fibers_constant, _ghz_game, f3, third_word
+from ghzcc.cli import Report
+from ghzcc.lowerbound import (
+    _SPEAKERS, _as_value, _fibers_constant, _ghz_game, _s, f3, third_word
+)
 from ghzcc.protocols import run_classical_count, run_classical_three_bit, run_quantum_two_bit
 from ghzcc.qsim import outcome_distribution, transformed_state
 
@@ -104,3 +110,44 @@ def quantum_output_support(t: PromiseTriple) -> set[int]:
     ]
     # s_A ^ s_B ^ s_C is the parity of every bit of the joint outcome.
     return {sum(map(sum, combo)) & 1 for combo in itertools.product(*per_column)}
+
+
+def permute_val(v: int, perm: tuple[int, int, int]) -> int:
+    """Word v with its three binary digits reordered: digit i of the result is digit perm[i]."""
+    s = _s(v)
+    return int("".join(s[perm[i]] for i in range(3)), 2)
+
+
+def permute_set(values: Iterable[int], perm: tuple[int, int, int]) -> frozenset[int]:
+    return frozenset(permute_val(v, perm) for v in values)
+
+
+_SCALARS = (str, int, float, bool, type(None))
+
+
+def jsonable(value: Any) -> Any:
+    """value with str keys, sets as lists sorted by str, and unknown objects as str."""
+    if isinstance(value, _SCALARS):
+        return value
+    if isinstance(value, dict):
+        return {
+            str(k): v if isinstance(v, _SCALARS) else jsonable(v) for k, v in value.items()
+        }
+    if isinstance(value, (list, tuple, set, frozenset)):
+        items = sorted(value, key=str) if isinstance(value, (set, frozenset)) else value
+        return [jsonable(v) for v in items]
+    return str(value)
+
+
+def render_machine_reference(report: Report) -> str:
+    """The machine rendering, each record walked by jsonable and encoded by a new encoder."""
+    encode = json.JSONEncoder(sort_keys=True, check_circular=False).encode
+    records = [{"type": "header", "schema": report.schema, "command": report.command,
+                "params": jsonable(report.params)}]
+    records += ({"type": "info", **jsonable(entry)} for entry in report.info)
+    records += ({"type": "check", **jsonable(entry)} for entry in report.checks)
+    failed = sum(1 for c in report.checks if not c["passed"])
+    records.append({"type": "summary", "passed": report.passed,
+                    "checks": len(report.checks), "failed": failed})
+    timing = json.dumps({"type": "timing", "elapsed_s": round(report.elapsed_s, 6)})
+    return "\n".join([*map(encode, records), timing]) + "\n"

@@ -24,6 +24,7 @@ from ghzcc.cli import (
     render_machine,
     render_text,
 )
+from oracles import render_machine_reference
 
 
 class TestDemo:
@@ -152,6 +153,49 @@ class TestReportFormats:
         assert lines[1].startswith("params: ")
         assert any(line.startswith("summary: PASS") for line in lines)
         assert lines[-1].startswith("timing: ")
+
+
+def _keys_are_str(value) -> bool:
+    if isinstance(value, dict):
+        return all(isinstance(k, str) and _keys_are_str(v) for k, v in value.items())
+    if isinstance(value, (list, tuple, set, frozenset)):
+        return all(_keys_are_str(v) for v in value)
+    return True
+
+
+class _Labelled:
+    def __str__(self) -> str:
+        return "labelled \u00e9"
+
+
+def _reference_reports():
+    for n in range(1, 33):
+        for seed in range(5):
+            yield cmd_demo(n, seed)
+    yield cmd_verify("all", 3, 0)
+    for scope in cli.SEARCH_SCOPES:
+        yield cmd_search(scope, 1, 0)
+    yield cmd_replay(None)
+
+
+class TestRenderOracle:
+    """render_machine against the walk-then-encode renderer it replaced."""
+
+    def test_command_reports_render_as_the_reference(self):
+        for report in _reference_reports():
+            # A non-str key is where the encoder's own key handling and str(key) part.
+            assert _keys_are_str([report.params, report.info, report.checks])
+            assert render_machine(report) == render_machine_reference(report)
+
+    def test_odd_values_render_as_the_reference(self):
+        report = cli.Report("demo", {"seed": 3, "tags": {"b", "a", 10}})
+        report.note("mixed", pair=(1, "x"), nested={"z": {"y": [None, 0.5]}, "a": ()},
+                    text="gr\u00fc\u00dfe \u2192 \u2713", ratio=1 / 3, missing=None,
+                    label=_Labelled(), cells=[frozenset({(1, 2), (0, 5)}), {_Labelled()}])
+        report.check("odd", True, value=2.5e-7, obj=_Labelled(), sets={"s": {3, 1, 2}})
+        report.check("failing", False)
+        assert _keys_are_str([report.params, report.info, report.checks])
+        assert render_machine(report) == render_machine_reference(report)
 
 
 class TestMainEntry:

@@ -23,7 +23,10 @@ from ghzcc.bitcore import (
     parity_table,
 )
 from ghzcc.cli import SEARCH_SCOPES, cmd_search
+from ghzcc import lowerbound
 from ghzcc.lowerbound import (
+    _PERMS,
+    _PERMUTED,
     CASES,
     PartitionOfCube,
     _as_value,
@@ -43,7 +46,9 @@ from ghzcc.lowerbound import (
     three_bit_messages_feasible,
 )
 from ghzcc.protocols import run_classical_three_bit
-from oracles import ProtocolCandidate, candidate_feasible, carol_response_count
+from oracles import (
+    ProtocolCandidate, candidate_feasible, carol_response_count, permute_set, permute_val
+)
 
 
 def ref_ghz(x: str, y: str, z: str) -> int:
@@ -196,6 +201,16 @@ class TestCoverage:
         # S0 = {000, 011, 111}: complement mask selects the rest.
         mask = 0b01110110
         assert by_mask[mask].case_id == "2.2.2"
+
+    def test_permutation_table_matches_string_oracle(self):
+        assert len(_PERMUTED) == 6
+        for perm in _PERMS:
+            assert _PERMUTED[perm] == tuple(permute_val(v, perm) for v in range(8))
+
+    def test_report_unchanged_under_string_oracle(self, monkeypatch):
+        packed = case_cover_check()
+        monkeypatch.setattr(lowerbound, "_permute_set", permute_set)
+        assert case_cover_check() == packed
 
 
 class TestBroadcastSearch:

@@ -2,15 +2,18 @@
 
 import ast
 import dataclasses
+import json
 import os
 import random
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import ghzcc
+from ghzcc import cli, protocols, qsim
 from ghzcc.bitcore import (
     BitString,
     InvariantViolation,
@@ -31,6 +34,8 @@ from ghzcc.protocols import (
     run_parity_one_bit,
     run_quantum_two_bit,
 )
+from ghzcc.cli import cmd_demo
+from ghzcc.qsim import transformed_state
 from oracles import protocol_agreement, quantum_output_support
 
 
@@ -184,6 +189,34 @@ class TestCountingIdentity:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "rejected\n"
+
+    @pytest.mark.parametrize("run", [run_classical_three_bit, run_classical_count])
+    def test_run_path_rejects_broken_identity(self, run):
+        # Three one-bit words 0, 0, 0 break the promise: r_A + r_B + r_C = 3, 2k = 2.
+        # A namespace stands in for the triple, since PromiseTriple rejects it.
+        zero = bs("0")
+        forged = SimpleNamespace(x=zero, y=zero, z=zero, length=1)
+        with pytest.raises(InvariantViolation, match=r"^zero counts 1\+1\+1 != 2\*1$"):
+            run(forged)
+
+    def test_run_path_check_survives_optimized_mode(self):
+        src = os.path.dirname(os.path.dirname(ghzcc.__file__))
+        code = (
+            "from types import SimpleNamespace\n"
+            "from ghzcc.bitcore import BitString, InvariantViolation\n"
+            "from ghzcc.protocols import run_classical_three_bit\n"
+            "zero = BitString(1, 0)\n"
+            "try:\n"
+            "    run_classical_three_bit(SimpleNamespace(x=zero, y=zero, z=zero, length=1))\n"
+            "except InvariantViolation as exc:\n"
+            "    print(exc)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "zero counts 1+1+1 != 2*1\n"
 
 
 def test_package_has_no_assert_statements():
@@ -344,3 +377,37 @@ class TestSchedulesBuiltOnce:
         a, b = run_ip_trivial(bs("011"), bs("110")), run_ip_trivial(bs("101"), bs("001"))
         assert a.steps is b.steps
         assert run_ip_trivial(bs("0110"), bs("1100")).steps is not a.steps
+
+    def test_quantum_runs_reuse_the_column_tables(self, monkeypatch):
+        rng = random.Random(6)
+        run_quantum_two_bit(random_promise_triple(8, rng), rng)
+        calls = []
+
+        def counted(column):
+            calls.append(column)
+            return transformed_state(column)
+
+        monkeypatch.setattr(qsim, "transformed_state", counted)
+        monkeypatch.setattr(protocols, "transformed_state", counted, raising=False)
+        for n in (1, 8, 32):
+            for _ in range(20):
+                assert run_quantum_two_bit(random_promise_triple(n, rng), rng).cost == 2
+        assert calls == []
+
+    def test_reports_render_with_one_encoder(self, monkeypatch):
+        reports = [cmd_demo(n, seed) for n in (1, 7, 32) for seed in range(34)]
+        cli.render_machine(reports[0])
+        made = []
+
+        def counted(*args):
+            # Argument 6 is sort_keys: the record encoder's. The trailing timing
+            # line is json.dumps, which builds its own unsorted encoder per call.
+            if args[6]:
+                made.append(args)
+            return make_encoder(*args)
+
+        make_encoder = json.encoder.c_make_encoder
+        monkeypatch.setattr(json.encoder, "c_make_encoder", counted)
+        for report in reports[1:101]:
+            cli.render_machine(report)
+        assert made == []
