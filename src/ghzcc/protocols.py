@@ -12,11 +12,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Callable, Mapping, Sequence
 
-# f_ghz and sample_outcome are unused here; perfbench/spans.py wraps these bindings.
+# f_ghz is unused here, but perfbench/spans.py traces ghzcc.protocols.f_ghz.
 from .bitcore import (
     BitString, InvariantViolation, PromiseTriple, _check_equal_lengths, f_ghz, f_inner_product
 )
-from .qsim import sample_columns, sample_outcome
+from .qsim import sample_outcome, transformed_state
 
 
 @dataclass(frozen=True)
@@ -73,9 +73,14 @@ def _check_zero_counts(r_a: int, r_b: int, r_c: int, k: int) -> None:
         raise InvariantViolation(f"zero counts {r_a}+{r_b}+{r_c} != 2*{k}")
 
 
-def count_summary(t: PromiseTriple) -> CountSummary:
+def _zero_counts(t: PromiseTriple) -> tuple[int, int, int, int]:
+    """(r_A, r_B, r_C, k): each party's zeros, and k = the number of AND-zero columns."""
     k = t.length - (t.x.bits & t.y.bits & t.z.bits).bit_count()
-    return CountSummary(t.x.count_zeros(), t.y.count_zeros(), t.z.count_zeros(), k)
+    return t.x.count_zeros(), t.y.count_zeros(), t.z.count_zeros(), k
+
+
+def count_summary(t: PromiseTriple) -> CountSummary:
+    return CountSummary(*_zero_counts(t))
 
 
 def run_protocol(
@@ -162,7 +167,7 @@ def run_quantum_two_bit(t: PromiseTriple, rng) -> RunResult:
     the measurement of an entangled triple; the dealt bits then count as part
     of each party's local input.
     """
-    a, b, c = sample_columns(t, rng)
+    a, b, c = zip(*[sample_outcome(transformed_state(col), rng).bits for col in t.columns()])
     inputs = {"A": (t.x, a), "B": (t.y, b), "C": (t.z, c)}
     return run_protocol(inputs, _QUANTUM_STEPS, _quantum_output)
 
@@ -206,12 +211,10 @@ def _count_schedule(width: int, carol_drops_low: bool = False) -> tuple:
 
 
 def _run_counts(t: PromiseTriple, schedule: tuple) -> RunResult:
-    x, y, z = t.x, t.y, t.z
     # count_summary's check, without building a CountSummary on every run.
-    _check_zero_counts(x.count_zeros(), y.count_zeros(), z.count_zeros(),
-                       t.length - (x.bits & y.bits & z.bits).bit_count())
+    _check_zero_counts(*_zero_counts(t))
     steps, alice_output = schedule
-    return run_protocol({"A": x, "B": y, "C": z}, steps, alice_output)
+    return run_protocol({"A": t.x, "B": t.y, "C": t.z}, steps, alice_output)
 
 
 def run_classical_three_bit(t: PromiseTriple) -> RunResult:

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
-from .bitcore import LEGAL_COLUMNS, ExactnessError, InvariantViolation, PromiseTriple
+from .bitcore import LEGAL_COLUMNS, ExactnessError, InvariantViolation
 
 PARTIES = ("A", "B", "C")
 # Basis strings are read b_A b_B b_C, so party A owns the high bit.
@@ -52,6 +52,11 @@ class TripleState:
 
     def __hash__(self) -> int:
         return self._hash
+
+    @cached_property
+    def _sampling_table(self) -> tuple[tuple[float, Outcome], ...]:
+        """_cumulative(self), kept on the state so that a draw does not hash it."""
+        return _cumulative(self)
 
     @classmethod
     def basis_state(cls, b: int | str) -> "TripleState":
@@ -189,36 +194,8 @@ def _cumulative(state: TripleState) -> tuple[tuple[float, Outcome], ...]:
 def sample_outcome(state: TripleState, rng) -> Outcome:
     """Draw one joint outcome with probability = squared amplitude magnitude."""
     u = rng.random()
-    table = _cumulative(state)
+    table = state._sampling_table
     for threshold, outcome in table:
         if u < threshold:
             return outcome
     return table[-1][1]
-
-
-@lru_cache(maxsize=None)
-def _column_tables() -> tuple:
-    """Each legal column's (threshold, bits) rows by code x << 1 | y, checked against Lemma 1."""
-    tables = []
-    for column in LEGAL_COLUMNS:
-        table = tuple((u, outcome.bits) for u, outcome in _cumulative(transformed_state(column)))
-        if table[-1][0] != 1.0:
-            raise InvariantViolation(f"outcome table of {column} ends at {table[-1][0]}, not 1.0")
-        if {sum(bits) & 1 for _, bits in table} != {column[0] & column[1] & column[2]}:
-            raise InvariantViolation(f"an outcome of {column} has parity other than its AND")
-        tables.append(table)
-    return tuple(tables)
-
-
-def sample_columns(t: PromiseTriple, rng) -> tuple[tuple[int, ...], ...]:
-    """Per-party outcome bits of t's columns; each column takes one rng.random(), as in
-    sample_outcome, so a seeded run draws what per-column sample_outcome calls draw."""
-    tables, x, y, draw = _column_tables(), t.x.bits, t.y.bits, rng.random
-    drawn = []
-    for i in range(t.length):
-        u = draw()
-        for threshold, bits in tables[((x >> i) & 1) << 1 | ((y >> i) & 1)]:
-            if u < threshold:
-                break
-        drawn.append(bits)
-    return tuple(zip(*drawn))

@@ -178,6 +178,16 @@ def _reference_reports():
     yield cmd_replay(None)
 
 
+def _odd_report():
+    report = cli.Report("demo", {"seed": 3, "tags": {"b", "a", 10}})
+    report.note("mixed", pair=(1, "x"), nested={"z": {"y": [None, 0.5]}, "a": ()},
+                text="gr\u00fc\u00dfe \u2192 \u2713", ratio=1 / 3, missing=None,
+                label=_Labelled(), cells=[frozenset({(1, 2), (0, 5)}), {_Labelled()}])
+    report.check("odd", True, value=2.5e-7, obj=_Labelled(), sets={"s": {3, 1, 2}})
+    report.check("failing", False)
+    return report
+
+
 class TestRenderOracle:
     """render_machine against the walk-then-encode renderer it replaced."""
 
@@ -188,14 +198,18 @@ class TestRenderOracle:
             assert render_machine(report) == render_machine_reference(report)
 
     def test_odd_values_render_as_the_reference(self):
-        report = cli.Report("demo", {"seed": 3, "tags": {"b", "a", 10}})
-        report.note("mixed", pair=(1, "x"), nested={"z": {"y": [None, 0.5]}, "a": ()},
-                    text="gr\u00fc\u00dfe \u2192 \u2713", ratio=1 / 3, missing=None,
-                    label=_Labelled(), cells=[frozenset({(1, 2), (0, 5)}), {_Labelled()}])
-        report.check("odd", True, value=2.5e-7, obj=_Labelled(), sets={"s": {3, 1, 2}})
-        report.check("failing", False)
+        report = _odd_report()
         assert _keys_are_str([report.params, report.info, report.checks])
         assert render_machine(report) == render_machine_reference(report)
+
+    def test_fallback_without_c_encoder_renders_the_same(self, monkeypatch):
+        # Without json's C encoder, _encode is _json.encode, which then runs
+        # json's pure-Python encoder: it must give the same bytes.
+        reports = [*_reference_reports(), _odd_report()]
+        fast = [render_machine(report) for report in reports]
+        monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+        monkeypatch.setattr(cli, "_encode", cli._json.encode)
+        assert [render_machine(report) for report in reports] == fast
 
 
 class TestMainEntry:

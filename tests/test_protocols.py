@@ -13,7 +13,7 @@ from types import SimpleNamespace
 import pytest
 
 import ghzcc
-from ghzcc import cli, protocols, qsim
+from ghzcc import cli, qsim
 from ghzcc.bitcore import (
     BitString,
     InvariantViolation,
@@ -35,7 +35,6 @@ from ghzcc.protocols import (
     run_quantum_two_bit,
 )
 from ghzcc.cli import cmd_demo
-from ghzcc.qsim import transformed_state
 from oracles import protocol_agreement, quantum_output_support
 
 
@@ -378,17 +377,17 @@ class TestSchedulesBuiltOnce:
         assert a.steps is b.steps
         assert run_ip_trivial(bs("0110"), bs("1100")).steps is not a.steps
 
-    def test_quantum_runs_reuse_the_column_tables(self, monkeypatch):
+    def test_quantum_draws_reuse_the_sampling_tables(self, monkeypatch):
         rng = random.Random(6)
         run_quantum_two_bit(random_promise_triple(8, rng), rng)
         calls = []
+        cumulative = qsim._cumulative
 
-        def counted(column):
-            calls.append(column)
-            return transformed_state(column)
+        def counted(state):
+            calls.append(state)
+            return cumulative(state)
 
-        monkeypatch.setattr(qsim, "transformed_state", counted)
-        monkeypatch.setattr(protocols, "transformed_state", counted, raising=False)
+        monkeypatch.setattr(qsim, "_cumulative", counted)
         for n in (1, 8, 32):
             for _ in range(20):
                 assert run_quantum_two_bit(random_promise_triple(n, rng), rng).cost == 2

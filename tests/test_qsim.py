@@ -5,8 +5,6 @@ from fractions import Fraction
 
 import pytest
 
-from ghzcc import qsim
-from ghzcc.bitcore import InvariantViolation, random_promise_triple
 from ghzcc.qsim import (
     BASIS,
     ExactnessError,
@@ -17,7 +15,6 @@ from ghzcc.qsim import (
     check_lemma1,
     mermin_state,
     outcome_distribution,
-    sample_columns,
     sample_outcome,
     support,
     transformed_state,
@@ -228,42 +225,3 @@ class TestSampling:
     def test_outcome_probability_must_be_positive(self):
         with pytest.raises(ValueError):
             Outcome((0, 0, 0), Fraction(0))
-
-
-class TestColumnSampler:
-    """sample_columns against the per-column reference, sample_outcome."""
-
-    @pytest.mark.parametrize("n", range(1, 33))
-    def test_matches_per_column_sampling(self, n):
-        for seed in range(20):
-            t = random_promise_triple(n, random.Random(seed))
-            fast, slow = random.Random(seed), random.Random(seed)
-            bits = [sample_outcome(transformed_state(col), slow).bits for col in t.columns()]
-            assert sample_columns(t, fast) == tuple(zip(*bits))
-            assert fast.getstate() == slow.getstate()
-
-    def test_tables_follow_lemma1(self):
-        for code, column in enumerate(LEGAL_COLUMNS):
-            table = qsim._column_tables()[code]
-            assert table[-1][0] == 1.0
-            assert [bits for _, bits in table] == [
-                o.bits for o in outcome_distribution(transformed_state(column))
-            ]
-
-    @pytest.mark.parametrize("mutation,message", [
-        # The last row dropped: the table ends at 0.75.
-        (lambda rows: rows[:-1], "ends at 0.75, not 1.0"),
-        # Alice's bit flipped in every outcome: every parity is wrong.
-        (lambda rows: tuple((u, Outcome((1 - o.bits[0], *o.bits[1:]), o.probability))
-                            for u, o in rows), "has parity other than"),
-    ])
-    def test_mutated_table_stops_the_sampler(self, mutation, message, monkeypatch):
-        cumulative = qsim._cumulative
-        monkeypatch.setattr(qsim, "_cumulative", lambda state: mutation(cumulative(state)))
-        qsim._column_tables.cache_clear()
-        try:
-            with pytest.raises(InvariantViolation, match=message):
-                sample_columns(random_promise_triple(4, random.Random(0)), random.Random(0))
-        finally:
-            monkeypatch.undo()
-            qsim._column_tables.cache_clear()
