@@ -90,7 +90,8 @@ def render_machine(report: Report) -> str:
     failed = sum(1 for c in report.checks if not c["passed"])
     records.append({"type": "summary", "passed": report.passed,
                     "checks": len(report.checks), "failed": failed})
-    timing = json.dumps({"type": "timing", "elapsed_s": round(report.elapsed_s, 6)})
+    # json writes a float as its repr, so this is json.dumps of the timing record.
+    timing = f'{{"type": "timing", "elapsed_s": {round(report.elapsed_s, 6)!r}}}'
     return "\n".join([*map(_encode, records), timing]) + "\n"
 
 
@@ -323,16 +324,12 @@ def cmd_search(scope: str, workers: int, seed: int) -> Report:
         )
     elif scope == "blackboard":
         result = lowerbound.search_blackboard_two_bit(workers=workers)
-        breakdown = {
-            _pattern_label(k): v for k, v in (result.breakdown or {}).items()
-        }
-        _search_zero(report, result, "blackboard_zero_feasible", breakdown=breakdown)
-        alice_first = sum(
-            v for k, v in (result.breakdown or {}).items() if k[0] == "A"
-        )
+        breakdown = result.breakdown
+        _search_zero(report, result, "blackboard_zero_feasible",
+                     breakdown={_pattern_label(k): v for k, v in breakdown.items()})
+        alice_first = sum(v for k, v in breakdown.items() if k[0] == "A")
         report.check("alice_first_zero_feasible", alice_first == 0)
-        relay = (result.breakdown or {}).get(("B", "C", "C"), -1)
-        report.check("relay_b_then_c_zero_feasible", relay == 0)
+        report.check("relay_b_then_c_zero_feasible", breakdown["B", "C", "C"] == 0)
     elif scope == "ip3":
         result = lowerbound.search_two_party_ip3(workers=workers)
         _search_zero(report, result, "ip3_two_bit_zero_feasible")

@@ -220,8 +220,10 @@ def carol_partition_feasible(xs, bob_class) -> CarolFeasibility:
 
 
 class CaseProbe(NamedTuple):
+    """One receiver input and the game values the paper lists for it, one per
+    class member in ascending order; each (x, y, z) is forced by the promise."""
+
     x: str
-    tuples: tuple[tuple[str, str, str], ...]
     f_values: tuple[int, ...]
 
 
@@ -236,142 +238,27 @@ class CaseWitness(NamedTuple):
 CASES: dict[str, CaseWitness] = {
     w.case_id: w
     for w in (
-        CaseWitness(
-            "1",
-            "class 0 has at most 2 elements",
-            class_side=1,
-            class_members=("001", "010", "011"),
-            probes=(
-                CaseProbe(
-                    "001",
-                    (("001", "001", "111"), ("001", "010", "100"), ("001", "011", "101")),
-                    (1, 0, 1),
-                ),
-                CaseProbe(
-                    "011",
-                    (("011", "001", "101"), ("011", "010", "110"), ("011", "011", "111")),
-                    (1, 1, 0),
-                ),
-            ),
-        ),
-        CaseWitness(
-            "2.1.1",
-            "000, 001, 010 in class 0",
-            class_side=0,
-            class_members=("000", "001", "010"),
-            probes=(
-                CaseProbe(
-                    "001",
-                    (("001", "000", "110"), ("001", "001", "111"), ("001", "010", "100")),
-                    (0, 1, 0),
-                ),
-                CaseProbe(
-                    "011",
-                    (("011", "000", "100"), ("011", "001", "101"), ("011", "010", "110")),
-                    (0, 1, 1),
-                ),
-            ),
-        ),
-        CaseWitness(
-            "2.1.2",
-            "000, 001, 011 in class 0",
-            class_side=0,
-            class_members=("000", "001", "011"),
-            probes=(
-                CaseProbe(
-                    "001",
-                    (("001", "000", "110"), ("001", "001", "111"), ("001", "011", "101")),
-                    (0, 1, 1),
-                ),
-                CaseProbe(
-                    "011",
-                    (("011", "000", "100"), ("011", "001", "101"), ("011", "011", "111")),
-                    (0, 1, 0),
-                ),
-            ),
-        ),
-        CaseWitness(
-            "2.1.3",
-            "000, 001, 110 in class 0",
-            class_side=0,
-            class_members=("000", "001", "110"),
-            probes=(
-                CaseProbe(
-                    "010",
-                    (("010", "000", "101"), ("010", "001", "100"), ("010", "110", "011")),
-                    (0, 0, 1),
-                ),
-                CaseProbe(
-                    "011",
-                    (("011", "000", "100"), ("011", "001", "101"), ("011", "110", "010")),
-                    (0, 1, 1),
-                ),
-            ),
-        ),
-        CaseWitness(
-            "2.1.4",
-            "000, 001, 111 in class 0",
-            class_side=0,
-            class_members=("000", "001", "111"),
-            probes=(
-                CaseProbe(
-                    "010",
-                    (("010", "000", "101"), ("010", "001", "100"), ("010", "111", "010")),
-                    (0, 0, 1),
-                ),
-                CaseProbe(
-                    "011",
-                    (("011", "000", "100"), ("011", "001", "101"), ("011", "111", "011")),
-                    (0, 1, 0),
-                ),
-            ),
-        ),
-        CaseWitness(
-            "2.2.1",
-            "class 0 of size >= 3, no weight-1 element, 111 not in it",
-            class_side=1,
-            class_members=("001", "010", "100", "111"),
-            probes=(
-                CaseProbe(
-                    "001",
-                    (
-                        ("001", "001", "111"),
-                        ("001", "010", "100"),
-                        ("001", "100", "010"),
-                        ("001", "111", "001"),
-                    ),
-                    (1, 0, 0, 1),
-                ),
-                CaseProbe(
-                    "010",
-                    (
-                        ("010", "001", "100"),
-                        ("010", "010", "111"),
-                        ("010", "100", "001"),
-                        ("010", "111", "010"),
-                    ),
-                    (0, 1, 0, 1),
-                ),
-            ),
-        ),
-        CaseWitness(
-            "2.2.2",
-            "class 0 of size >= 3, no weight-1 element, 111 in it",
-            class_side=0,
-            class_members=("000", "011", "111"),
-            probes=(
-                CaseProbe(
-                    "010",
-                    (("010", "000", "101"), ("010", "011", "110"), ("010", "111", "010")),
-                    (0, 1, 1),
-                ),
-                CaseProbe(
-                    "110",
-                    (("110", "000", "001"), ("110", "011", "010"), ("110", "111", "110")),
-                    (0, 1, 0),
-                ),
-            ),
-        ),
+        CaseWitness("1", "class 0 has at most 2 elements",
+                    class_side=1, class_members=("001", "010", "011"),
+                    probes=(CaseProbe("001", (1, 0, 1)), CaseProbe("011", (1, 1, 0)))),
+        CaseWitness("2.1.1", "000, 001, 010 in class 0",
+                    class_side=0, class_members=("000", "001", "010"),
+                    probes=(CaseProbe("001", (0, 1, 0)), CaseProbe("011", (0, 1, 1)))),
+        CaseWitness("2.1.2", "000, 001, 011 in class 0",
+                    class_side=0, class_members=("000", "001", "011"),
+                    probes=(CaseProbe("001", (0, 1, 1)), CaseProbe("011", (0, 1, 0)))),
+        CaseWitness("2.1.3", "000, 001, 110 in class 0",
+                    class_side=0, class_members=("000", "001", "110"),
+                    probes=(CaseProbe("010", (0, 0, 1)), CaseProbe("011", (0, 1, 1)))),
+        CaseWitness("2.1.4", "000, 001, 111 in class 0",
+                    class_side=0, class_members=("000", "001", "111"),
+                    probes=(CaseProbe("010", (0, 0, 1)), CaseProbe("011", (0, 1, 0)))),
+        CaseWitness("2.2.1", "class 0 of size >= 3, no weight-1 element, 111 not in it",
+                    class_side=1, class_members=("001", "010", "100", "111"),
+                    probes=(CaseProbe("001", (1, 0, 0, 1)), CaseProbe("010", (0, 1, 0, 1)))),
+        CaseWitness("2.2.2", "class 0 of size >= 3, no weight-1 element, 111 in it",
+                    class_side=0, class_members=("000", "011", "111"),
+                    probes=(CaseProbe("010", (0, 1, 1)), CaseProbe("110", (0, 1, 0)))),
     )
 }
 
@@ -391,53 +278,39 @@ class CaseReport(NamedTuple):
 def replay_case(case_id: str) -> CaseReport:
     """Re-derive one elimination case's witness values and its infeasibility.
 
-    Every listed (x, y, z) must satisfy the promise, its game value must be
+    Each probe's completions (x, y, z) over the case's class come from the
+    promise; each must be a promise triple, its listed game value must be
     re-derivable (both through the triple evaluation and the packed form),
-    and the two receiver inputs' constraints must be jointly 2-coloring
+    and the receiver inputs' constraints must be jointly 2-coloring
     infeasible.
     """
     try:
         witness = CASES[case_id]
     except KeyError:
         raise ValueError(f"unknown case id {case_id!r}; know {sorted(CASES)}") from None
+    feas = carol_partition_feasible([p.x for p in witness.probes], witness.class_members)
     failures: list[str] = []
     tuple_checks: list[tuple[str, int, int, bool]] = []
-    members = set(witness.class_members)
     for probe in witness.probes:
-        if len(probe.tuples) != len(probe.f_values):
-            failures.append(f"x={probe.x}: {len(probe.tuples)} tuples, "
+        completions = feas.candidates[probe.x]
+        if len(completions) != len(probe.f_values):
+            failures.append(f"x={probe.x}: {len(completions)} completions, "
                             f"{len(probe.f_values)} listed values")
-        listed_ys = []
-        for (tx, ty, tz), expected in zip(probe.tuples, probe.f_values):
-            label = f"({tx},{ty},{tz})"
-            if tx != probe.x:
-                failures.append(f"{label}: receiver input differs from probe x={probe.x}")
-            if ty not in members:
-                failures.append(f"{label}: y outside the case's class")
-            listed_ys.append(ty)
+        for (y, z, packed), expected in zip(completions, probe.f_values):
+            label = f"({probe.x},{y},{z})"
             try:
-                triple = PromiseTriple.from_strs(tx, ty, tz)
-            except Exception as exc:  # promise violation
+                triple = PromiseTriple.from_strs(probe.x, y, z)
+            except ValueError as exc:  # promise violation
                 failures.append(f"{label}: {exc}")
                 tuple_checks.append((label, expected, -1, False))
                 continue
             got = f_ghz(triple)
-            packed = f3(_as_value(tx), _as_value(ty))
             ok = got == expected == packed
             if not ok:
                 failures.append(
                     f"{label}: listed value {expected}, re-derived {got} (packed {packed})"
                 )
             tuple_checks.append((label, expected, got, ok))
-        if sorted(listed_ys) != sorted(members):
-            failures.append(
-                f"x={probe.x}: probes cover y={sorted(listed_ys)}, "
-                f"class is {sorted(members)}"
-            )
-    feas = carol_partition_feasible([p.x for p in witness.probes], witness.class_members)
-    for x, constraints in feas.per_x.items():
-        if not constraints.feasible:
-            failures.append(f"x={x} alone is already infeasible; witness malformed")
     if feas.feasible:
         failures.append("joint constraints are 2-colorable; case does not eliminate")
     return CaseReport(case_id, witness.header, tuple(tuple_checks), feas, tuple(failures))

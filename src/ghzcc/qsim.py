@@ -47,16 +47,18 @@ class TripleState:
             raise ExactnessError(
                 f"squared norm is {rational}/8 + {cross}/(2*sqrt(2))*..., not exactly 1"
             )
-        # Sampling looks the state up in a memo per column: hash it once.
-        object.__setattr__(self, "_hash", hash(self.amps))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @cached_property
     def _sampling_table(self) -> tuple[tuple[float, Outcome], ...]:
-        """_cumulative(self), kept on the state so that a draw does not hash it."""
-        return _cumulative(self)
+        """Cumulative outcome probabilities, built once per state for sample_outcome."""
+        # Exact probabilities here are dyadic (p^2/4 + q^2/8), so the float
+        # cumulative sums are themselves exact.
+        acc = Fraction(0)
+        table = []
+        for outcome in outcome_distribution(self):
+            acc += outcome.probability
+            table.append((float(acc), outcome))
+        return tuple(table)
 
     @classmethod
     def basis_state(cls, b: int | str) -> "TripleState":
@@ -164,7 +166,6 @@ def check_lemma1(column: tuple[int, int, int]) -> int:
     return target
 
 
-@lru_cache(maxsize=None)
 def outcome_distribution(state: TripleState) -> tuple[Outcome, ...]:
     """All nonzero outcomes with exact probabilities, in basis order."""
     outcomes = []
@@ -177,18 +178,6 @@ def outcome_distribution(state: TripleState) -> tuple[Outcome, ...]:
     if total != 1:
         raise InvariantViolation(f"outcome probabilities sum to {total}, not 1")
     return tuple(outcomes)
-
-
-@lru_cache(maxsize=None)
-def _cumulative(state: TripleState) -> tuple[tuple[float, Outcome], ...]:
-    # Exact probabilities here are dyadic (p^2/4 + q^2/8), so the float
-    # cumulative sums are themselves exact.
-    acc = Fraction(0)
-    table = []
-    for outcome in outcome_distribution(state):
-        acc += outcome.probability
-        table.append((float(acc), outcome))
-    return tuple(table)
 
 
 def sample_outcome(state: TripleState, rng) -> Outcome:

@@ -202,6 +202,12 @@ class TestRenderOracle:
         assert _keys_are_str([report.params, report.info, report.checks])
         assert render_machine(report) == render_machine_reference(report)
 
+    def test_timing_line_is_json_dumps(self):
+        report = cli.Report("demo", {})
+        for elapsed in (0.0, 4e-7, 2.5e-6, 0.1234565, 1 / 3, 7.0, 12345.678901234, 1e16, 3):
+            report.elapsed_s = elapsed
+            assert render_machine(report) == render_machine_reference(report)
+
     def test_fallback_without_c_encoder_renders_the_same(self, monkeypatch):
         # Without json's C encoder, _encode is _json.encode, which then runs
         # json's pure-Python encoder: it must give the same bytes.
@@ -309,6 +315,22 @@ def test_machine_report_matches_golden(argv, golden, capsys):
     assert main(argv + ["--format", "machine"]) == EXIT_OK
     lines = capsys.readouterr().out.splitlines(keepends=True)
     assert json.loads(lines[-1])["type"] == "timing"
+    assert "".join(lines[:-1]) == (GOLDEN / golden).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "argv,golden",
+    [
+        (["replay"], "replay.txt"),
+        (["replay", "--case", "2.2.1"], "replay_case_2.2.1.txt"),
+        (["verify", "--scope", "cases"], "verify_cases.txt"),
+    ],
+)
+def test_text_report_matches_golden(argv, golden, capsys):
+    # Every line but the trailing timing line is fixed by the parameters.
+    assert main(argv) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines(keepends=True)
+    assert lines[-1].startswith("timing: ")
     assert "".join(lines[:-1]) == (GOLDEN / golden).read_text(encoding="utf-8")
 
 

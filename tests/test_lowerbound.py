@@ -22,7 +22,7 @@ from ghzcc.bitcore import (
     inner_product_table,
     parity_table,
 )
-from ghzcc.cli import SEARCH_SCOPES, cmd_search
+from ghzcc.cli import EXIT_CHECK_FAILED, SEARCH_SCOPES, cmd_search, main
 from ghzcc import lowerbound
 from ghzcc.lowerbound import (
     _PERMS,
@@ -97,6 +97,15 @@ class TestCarolPartition:
         assert not report.joint.feasible
         assert not report.feasible
 
+    def test_one_receiver_input_is_always_feasible(self):
+        # For one x the apart graph is complete bipartite between the f = 0
+        # and f = 1 completions, so only a second x can eliminate.
+        for x in range(8):
+            for mask in range(1, 256):
+                report = carol_partition_feasible(x, [y for y in range(8) if mask >> y & 1])
+                assert report.per_x[format(x, "03b")].feasible
+                assert report.feasible
+
     def test_single_candidate_always_feasible(self):
         for x in range(8):
             report = carol_partition_feasible(x, {0b010})
@@ -146,10 +155,37 @@ class TestCaseReplay:
     def test_witness_tuples_satisfy_promise_and_values(self):
         # Independent route: string-level evaluation, no packed arithmetic.
         for witness in CASES.values():
+            labels = []
             for probe in witness.probes:
-                for (x, y, z), expected in zip(probe.tuples, probe.f_values):
+                x = probe.x
+                assert len(probe.f_values) == len(witness.class_members)
+                for y, expected in zip(witness.class_members, probe.f_values):
+                    z = "".join("1" if a == b else "0" for a, b in zip(x, y))
                     PromiseTriple.from_strs(x, y, z)
                     assert ref_ghz(x, y, z) == expected, (witness.case_id, x, y, z)
+                    labels.append(f"({x},{y},{z})")
+            checks = replay_case(witness.case_id).tuple_checks
+            assert [label for label, *_ in checks] == labels
+
+    @pytest.mark.parametrize(
+        "case_id,edit,failure",
+        [
+            ("2.1.1", lambda p: (p[0]._replace(f_values=(0, 0, 0)), p[1]),
+             "(001,001,111): listed value 0, re-derived 1 (packed 1)"),
+            ("2.2.1", lambda p: (p[0]._replace(f_values=(1, 0, 0)), p[1]),
+             "x=001: 4 completions, 3 listed values"),
+            ("1", lambda p: p[:1],
+             "joint constraints are 2-colorable; case does not eliminate"),
+        ],
+        ids=["flipped_value", "dropped_value", "single_probe"],
+    )
+    def test_mutated_case_fails_replay(self, case_id, edit, failure, monkeypatch, capsys):
+        witness = CASES[case_id]
+        mutated = witness._replace(probes=edit(witness.probes))
+        monkeypatch.setattr(lowerbound, "CASES", {**CASES, case_id: mutated})
+        assert replay_case(case_id).failures == (failure,)
+        assert main(["replay"]) == EXIT_CHECK_FAILED
+        assert f"check case_{case_id}: FAIL" in capsys.readouterr().out
 
     def test_seven_cases_exactly(self):
         assert sorted(CASES) == ["1", "2.1.1", "2.1.2", "2.1.3", "2.1.4", "2.2.1", "2.2.2"]

@@ -381,13 +381,14 @@ class TestSchedulesBuiltOnce:
         rng = random.Random(6)
         run_quantum_two_bit(random_promise_triple(8, rng), rng)
         calls = []
-        cumulative = qsim._cumulative
+        distribution = qsim.outcome_distribution
 
         def counted(state):
             calls.append(state)
-            return cumulative(state)
+            return distribution(state)
 
-        monkeypatch.setattr(qsim, "_cumulative", counted)
+        # A sampling table is built from outcome_distribution, once per state.
+        monkeypatch.setattr(qsim, "outcome_distribution", counted)
         for n in (1, 8, 32):
             for _ in range(20):
                 assert run_quantum_two_bit(random_promise_triple(n, rng), rng).cost == 2
@@ -399,10 +400,7 @@ class TestSchedulesBuiltOnce:
         made = []
 
         def counted(*args):
-            # Argument 6 is sort_keys: the record encoder's. The trailing timing
-            # line is json.dumps, which builds its own unsorted encoder per call.
-            if args[6]:
-                made.append(args)
+            made.append(args)
             return make_encoder(*args)
 
         make_encoder = json.encoder.c_make_encoder
