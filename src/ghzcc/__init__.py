@@ -14,11 +14,10 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "bitcore": (
         "BitString", "InvariantViolation", "PromiseTriple", "PromiseViolation",
-        "enumerate_promise", "f_ghz", "f_inner_product", "f_parity", "random_promise_triple",
+        "enumerate_promise", "f_ghz", "random_promise_triple",
     ),
     "protocols": (
-        "audit_run", "run_classical_count", "run_classical_three_bit", "run_ip_trivial",
-        "run_parity_one_bit", "run_quantum_two_bit",
+        "audit_run", "run_classical_count", "run_classical_three_bit", "run_quantum_two_bit",
     ),
     "qsim": (
         "TripleState", "apply_hadamard", "check_lemma1", "mermin_state", "sample_outcome",

@@ -107,12 +107,6 @@ class BitString(FrozenValue):
     def __str__(self) -> str:
         return format(self.bits, f"0{self.length}b")[::-1]
 
-    def parity(self) -> int:
-        return self.bits.bit_count() & 1
-
-    def count_ones(self) -> int:
-        return self.bits.bit_count()
-
     def count_zeros(self) -> int:
         return self.length - self.bits.bit_count()
 
@@ -154,23 +148,6 @@ class PromiseTriple(FrozenValue):
 
     def __str__(self) -> str:
         return f"(x={self.x}, y={self.y}, z={self.z})"
-
-
-def _check_equal_lengths(x: BitString, y: BitString) -> None:
-    if x.length != y.length:
-        raise ValueError(f"length mismatch: {x.length} vs {y.length}")
-
-
-def f_parity(x: BitString, y: BitString) -> int:
-    """XOR of all bits of both words."""
-    _check_equal_lengths(x, y)
-    return (x.bits ^ y.bits).bit_count() & 1
-
-
-def f_inner_product(x: BitString, y: BitString) -> int:
-    """XOR over i of x_i AND y_i."""
-    _check_equal_lengths(x, y)
-    return (x.bits & y.bits).bit_count() & 1
 
 
 def f_ghz(t: PromiseTriple) -> int:
@@ -221,10 +198,10 @@ def _two_party_rows(n: int, f: Callable[[int, int], int]) -> tuple[int, ...]:
 
 
 def parity_table(n: int) -> tuple[int, ...]:
-    """f_parity over all pairs of length-n words, as row masks."""
+    """Parity of all bits of x and y, over all length-n words, as row masks."""
     return _two_party_rows(n, lambda x, y: (x ^ y).bit_count() & 1)
 
 
 def inner_product_table(n: int) -> tuple[int, ...]:
-    """f_inner_product over all pairs of length-n words, as row masks."""
+    """XOR over i of x_i AND y_i, over all length-n words, as row masks."""
     return _two_party_rows(n, lambda x, y: (x & y).bit_count() & 1)

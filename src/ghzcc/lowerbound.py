@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 import time
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .bitcore import FrozenValue, PromiseTriple, f_ghz, inner_product_table
 
@@ -88,31 +88,9 @@ class PartitionOfCube(FrozenValue):
             raise ValueError("normalization requires 000 in class 0")
         object.__setattr__(self, "mask", mask)
 
-    def phi(self, y: int) -> int:
-        return (self.mask >> y) & 1
-
-    @property
-    def class0(self) -> frozenset[int]:
-        return frozenset(y for y in range(8) if not self.phi(y))
-
-    @property
-    def class1(self) -> frozenset[int]:
-        return frozenset(y for y in range(8) if self.phi(y))
-
     def side(self, b: int) -> frozenset[int]:
-        return self.class1 if b else self.class0
-
-    def __str__(self) -> str:
-        return "S0={%s} S1={%s}" % (
-            ",".join(_s(v) for v in sorted(self.class0)),
-            ",".join(_s(v) for v in sorted(self.class1)),
-        )
-
-
-def enumerate_partitions() -> Iterator[PartitionOfCube]:
-    """All 128 normalized broadcast partitions."""
-    for mask in range(0, 256, 2):
-        yield PartitionOfCube(mask)
+        """The words y that Bob announces as bit b."""
+        return frozenset(y for y in range(8) if (self.mask >> y) & 1 == b)
 
 
 class TogetherApartConstraints(NamedTuple):
@@ -130,10 +108,7 @@ class TogetherApartConstraints(NamedTuple):
 
 
 class CarolFeasibility(NamedTuple):
-    x_values: tuple[str, ...]
-    bob_class: tuple[str, ...]
     candidates: Mapping[str, tuple[tuple[str, str, int], ...]]
-    per_x: Mapping[str, TogetherApartConstraints]
     joint: TogetherApartConstraints
 
     @property
@@ -193,25 +168,16 @@ def carol_partition_feasible(xs, bob_class) -> CarolFeasibility:
     x_vals = [_as_value(x) for x in xs]
     class_vals = sorted({_as_value(y) for y in bob_class})
     candidates: dict[str, tuple[tuple[str, str, int], ...]] = {}
-    per_x: dict[str, TogetherApartConstraints] = {}
     joint_edges: set[tuple[int, int]] = set()
     for x in x_vals:
         cands = [(y, third_word(x, y), f3(x, y)) for y in class_vals]
         candidates[_s(x)] = tuple((_s(y), _s(z), f) for y, z, f in cands)
-        edges = {
+        joint_edges |= {
             (min(z1, z2), max(z1, z2))
             for (_, z1, f1), (_, z2, f2) in itertools.combinations(cands, 2)
             if f1 != f2
         }
-        per_x[_s(x)] = _two_color(edges)
-        joint_edges |= edges
-    return CarolFeasibility(
-        x_values=tuple(_s(x) for x in x_vals),
-        bob_class=tuple(_s(y) for y in class_vals),
-        candidates=candidates,
-        per_x=per_x,
-        joint=_two_color(joint_edges),
-    )
+    return CarolFeasibility(candidates, _two_color(joint_edges))
 
 
 # ---------------------------------------------------------------------------
@@ -367,8 +333,8 @@ def case_cover_check() -> CoverageReport:
     assignments: list[CoverageAssignment] = []
     unmapped: list[PartitionOfCube] = []
     counts: dict[str, int] = {case_id: 0 for case_id in CASES}
-    for partition in enumerate_partitions():
-        result = _classify_partition(partition.class0)
+    for partition in map(PartitionOfCube, range(0, 256, 2)):
+        result = _classify_partition(partition.side(0))
         if result is None:
             unmapped.append(partition)
             continue

@@ -13,9 +13,7 @@ from functools import lru_cache
 from typing import Any, Callable, Mapping, Sequence
 
 # f_ghz is unused here, but perfbench/spans.py traces ghzcc.protocols.f_ghz.
-from .bitcore import (
-    BitString, InvariantViolation, PromiseTriple, _check_equal_lengths, f_ghz, f_inner_product
-)
+from .bitcore import InvariantViolation, PromiseTriple, f_ghz
 from .qsim import sample_outcome, transformed_state
 
 
@@ -233,39 +231,3 @@ def run_classical_count(t: PromiseTriple) -> RunResult:
     """
     return _run_counts(t, _count_schedule(t.length.bit_length()))
 
-
-def _parity_output(word, received):
-    return word.parity() ^ received[0]
-
-
-_PARITY_STEPS = (SendStep("B", BitString.parity),)
-
-
-def run_parity_one_bit(x: BitString, y: BitString) -> RunResult:
-    """Two-party parity: Bob's single bit is the XOR of his word."""
-    _check_equal_lengths(x, y)
-    return run_protocol({"A": x, "B": y}, _PARITY_STEPS, _parity_output)
-
-
-def _word_bit(i: int):
-    def fn(word):
-        return word.bit(i)
-
-    return fn
-
-
-@lru_cache(maxsize=None)
-def _word_steps(length: int) -> tuple[SendStep, ...]:
-    """Bob sends his word bit by bit, position 1 first."""
-    return tuple(SendStep("B", _word_bit(i)) for i in range(1, length + 1))
-
-
-def _ip_output(word, received):
-    other = sum(bit << i for i, bit in enumerate(received))
-    return f_inner_product(word, BitString(len(received), other))
-
-
-def run_ip_trivial(x: BitString, y: BitString) -> RunResult:
-    """Two-party inner product the blunt way: Bob sends his whole word."""
-    _check_equal_lengths(x, y)
-    return run_protocol({"A": x, "B": y}, _word_steps(y.length), _ip_output)

@@ -50,36 +50,8 @@ class TripleState:
 
     @cached_property
     def _sampling_table(self) -> tuple[tuple[float, Outcome], ...]:
-        """Cumulative outcome probabilities, built once per state for sample_outcome."""
-        # Exact probabilities here are dyadic (p^2/4 + q^2/8), so the float
-        # cumulative sums are themselves exact.
-        acc = Fraction(0)
-        table = []
-        for outcome in outcome_distribution(self):
-            acc += outcome.probability
-            table.append((float(acc), outcome))
-        return tuple(table)
-
-    @classmethod
-    def basis_state(cls, b: int | str) -> "TripleState":
-        i = _basis_index(b)
-        return cls(tuple((2, 0) if j == i else (0, 0) for j in range(8)))
-
-    def amplitude(self, b: int | str) -> Amp:
-        return self.amps[_basis_index(b)]
-
-    def probability(self, b: int | str) -> Fraction:
-        return _amp_sq(self.amplitude(b))
-
-
-def _basis_index(b: int | str) -> int:
-    if isinstance(b, str):
-        if b not in BASIS:
-            raise ValueError(f"not a 3-bit basis string: {b!r}")
-        return int(b, 2)
-    if not 0 <= b <= 7:
-        raise ValueError(f"basis index {b} outside 0..7")
-    return b
+        """This state's table for sample_outcome, read once per object."""
+        return _cumulative(self)
 
 
 @dataclass(frozen=True)
@@ -92,10 +64,6 @@ class Outcome:
     def __post_init__(self) -> None:
         if self.probability <= 0:
             raise ValueError(f"outcome with probability {self.probability}")
-
-    @property
-    def basis(self) -> str:
-        return "".join(str(b) for b in self.bits)
 
 
 def mermin_state() -> TripleState:
@@ -178,6 +146,22 @@ def outcome_distribution(state: TripleState) -> tuple[Outcome, ...]:
     if total != 1:
         raise InvariantViolation(f"outcome probabilities sum to {total}, not 1")
     return tuple(outcomes)
+
+
+@lru_cache(maxsize=None)
+def _cumulative(state: TripleState) -> tuple[tuple[float, Outcome], ...]:
+    """Cumulative outcome probabilities, built once per distinct amps.
+
+    States compare and hash by their amps, so an equal state that is newly
+    built shares the table. Exact probabilities here are dyadic
+    (p^2/4 + q^2/8), so the float cumulative sums are themselves exact.
+    """
+    acc = Fraction(0)
+    table = []
+    for outcome in outcome_distribution(state):
+        acc += outcome.probability
+        table.append((float(acc), outcome))
+    return tuple(table)
 
 
 def sample_outcome(state: TripleState, rng) -> Outcome:

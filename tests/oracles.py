@@ -7,6 +7,10 @@ reduction behind the imported inner-product fact, a cross-protocol
 agreement check, the quantum protocol's full output support, the string
 form of the bit-position permutation, and the machine renderer that walks
 every value before encoding each record with a new encoder.
+
+It also holds the two-party parity and inner-product functions with their
+one-way protocols (one bit, and Bob's whole word): the row tables and the
+engine are checked against them, but no command runs them.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any, Iterable
 
 from ghzcc.bitcore import BitString, PromiseTriple, f_ghz
@@ -21,8 +26,11 @@ from ghzcc.cli import Report
 from ghzcc.lowerbound import (
     _SPEAKERS, _as_value, _fibers_constant, _ghz_game, _s, f3, third_word
 )
-from ghzcc.protocols import run_classical_count, run_classical_three_bit, run_quantum_two_bit
-from ghzcc.qsim import outcome_distribution, transformed_state
+from ghzcc.protocols import (
+    RunResult, SendStep, run_classical_count, run_classical_three_bit, run_protocol,
+    run_quantum_two_bit,
+)
+from ghzcc.qsim import Outcome, outcome_distribution, transformed_state
 
 
 def reduce_to_inner_product(t: PromiseTriple) -> tuple[BitString, BitString]:
@@ -151,3 +159,67 @@ def render_machine_reference(report: Report) -> str:
                     "checks": len(report.checks), "failed": failed})
     timing = json.dumps({"type": "timing", "elapsed_s": round(report.elapsed_s, 6)})
     return "\n".join([*map(encode, records), timing]) + "\n"
+
+
+def basis(outcome: Outcome) -> str:
+    """The outcome's bits as a basis string, party A first."""
+    return "".join(str(b) for b in outcome.bits)
+
+
+def _check_equal_lengths(x: BitString, y: BitString) -> None:
+    if x.length != y.length:
+        raise ValueError(f"length mismatch: {x.length} vs {y.length}")
+
+
+def f_parity(x: BitString, y: BitString) -> int:
+    """XOR of all bits of both words."""
+    _check_equal_lengths(x, y)
+    return (x.bits ^ y.bits).bit_count() & 1
+
+
+def f_inner_product(x: BitString, y: BitString) -> int:
+    """XOR over i of x_i AND y_i."""
+    _check_equal_lengths(x, y)
+    return (x.bits & y.bits).bit_count() & 1
+
+
+def parity(word: BitString) -> int:
+    """XOR of the word's bits."""
+    return word.bits.bit_count() & 1
+
+
+def _parity_output(word, received):
+    return parity(word) ^ received[0]
+
+
+_PARITY_STEPS = (SendStep("B", parity),)
+
+
+def run_parity_one_bit(x: BitString, y: BitString) -> RunResult:
+    """Two-party parity: Bob's single bit is the XOR of his word."""
+    _check_equal_lengths(x, y)
+    return run_protocol({"A": x, "B": y}, _PARITY_STEPS, _parity_output)
+
+
+def _word_bit(i: int):
+    def fn(word):
+        return word.bit(i)
+
+    return fn
+
+
+@lru_cache(maxsize=None)
+def _word_steps(length: int) -> tuple[SendStep, ...]:
+    """Bob sends his word bit by bit, position 1 first."""
+    return tuple(SendStep("B", _word_bit(i)) for i in range(1, length + 1))
+
+
+def _ip_output(word, received):
+    other = sum(bit << i for i, bit in enumerate(received))
+    return f_inner_product(word, BitString(len(received), other))
+
+
+def run_ip_trivial(x: BitString, y: BitString) -> RunResult:
+    """Two-party inner product the blunt way: Bob sends his whole word."""
+    _check_equal_lengths(x, y)
+    return run_protocol({"A": x, "B": y}, _word_steps(y.length), _ip_output)

@@ -17,12 +17,10 @@ from ghzcc.bitcore import (
     PromiseTriple,
     enumerate_promise,
     f_ghz,
-    f_inner_product,
-    f_parity,
     inner_product_table,
     parity_table,
 )
-from ghzcc.cli import EXIT_CHECK_FAILED, SEARCH_SCOPES, cmd_search, main
+from ghzcc.cli import EXIT_CHECK_FAILED, SEARCH_SCOPES, cmd_replay, cmd_search, main
 from ghzcc import lowerbound
 from ghzcc.lowerbound import (
     _PERMS,
@@ -33,7 +31,6 @@ from ghzcc.lowerbound import (
     _three_bit_transcript,
     carol_partition_feasible,
     case_cover_check,
-    enumerate_partitions,
     f3,
     replay_case,
     search_blackboard_two_bit,
@@ -47,8 +44,17 @@ from ghzcc.lowerbound import (
 )
 from ghzcc.protocols import run_classical_three_bit
 from oracles import (
-    ProtocolCandidate, candidate_feasible, carol_response_count, permute_set, permute_val
+    ProtocolCandidate,
+    candidate_feasible,
+    carol_response_count,
+    f_inner_product,
+    f_parity,
+    permute_set,
+    permute_val,
 )
+
+# All 128 normalized broadcast partitions (000 in class 0).
+PARTITIONS = tuple(PartitionOfCube(mask) for mask in range(0, 256, 2))
 
 
 def ref_ghz(x: str, y: str, z: str) -> int:
@@ -83,7 +89,7 @@ class TestCarolPartition:
             ("010", "100", 0),
             ("011", "101", 1),
         )
-        constraints = report.per_x["001"]
+        constraints = report.joint
         assert constraints.feasible
         assert ("101", "111") in constraints.together
         assert ("100", "111") in constraints.apart
@@ -92,8 +98,8 @@ class TestCarolPartition:
 
     def test_second_x_makes_it_infeasible(self):
         report = carol_partition_feasible(["001", "011"], {"001", "010", "011"})
-        assert report.per_x["001"].feasible
-        assert report.per_x["011"].feasible
+        assert carol_partition_feasible("001", {"001", "010", "011"}).joint.feasible
+        assert carol_partition_feasible("011", {"001", "010", "011"}).joint.feasible
         assert not report.joint.feasible
         assert not report.feasible
 
@@ -103,7 +109,7 @@ class TestCarolPartition:
         for x in range(8):
             for mask in range(1, 256):
                 report = carol_partition_feasible(x, [y for y in range(8) if mask >> y & 1])
-                assert report.per_x[format(x, "03b")].feasible
+                assert report.joint.feasible
                 assert report.feasible
 
     def test_single_candidate_always_feasible(self):
@@ -129,6 +135,18 @@ class TestCaseReplay:
             report = replay_case(case_id)
             assert report.passed, (case_id, report.failures)
             assert not report.feasibility.feasible
+
+    def test_full_replay_colors_one_graph_per_case(self, monkeypatch):
+        calls = []
+        two_color = lowerbound._two_color
+
+        def counted(edges):
+            calls.append(edges)
+            return two_color(edges)
+
+        monkeypatch.setattr(lowerbound, "_two_color", counted)
+        assert cmd_replay(None).passed
+        assert len(calls) == 7
 
     def test_unknown_case_rejected(self):
         with pytest.raises(ValueError):
@@ -199,14 +217,14 @@ class TestPartitions:
             PartitionOfCube(256)
 
     def test_enumeration_yields_128_distinct(self):
-        masks = [p.mask for p in enumerate_partitions()]
+        masks = [a.partition.mask for a in case_cover_check().assignments]
         assert len(masks) == len(set(masks)) == 128
 
     def test_classes_partition_the_cube(self):
-        for p in enumerate_partitions():
-            assert p.class0 | p.class1 == frozenset(range(8))
-            assert not p.class0 & p.class1
-            assert 0 in p.class0
+        for p in PARTITIONS:
+            assert p.side(0) | p.side(1) == frozenset(range(8))
+            assert not p.side(0) & p.side(1)
+            assert 0 in p.side(0)
 
 
 class TestCoverage:
@@ -258,7 +276,7 @@ class TestBroadcastSearch:
     def test_agrees_with_coloring_partition_by_partition(self):
         # Independent routes: mask enumeration vs constraint-graph 2-coloring.
         all_x = list(range(8))
-        for partition in enumerate_partitions():
+        for partition in PARTITIONS:
             for side in (0, 1):
                 y_class = partition.side(side)
                 by_masks = carol_response_count(y_class) > 0
@@ -269,7 +287,7 @@ class TestBroadcastSearch:
                 assert by_masks == by_coloring, (partition, side)
 
     def test_every_partition_has_a_bad_side(self):
-        for partition in enumerate_partitions():
+        for partition in PARTITIONS:
             counts = [carol_response_count(partition.side(b)) for b in (0, 1)]
             assert 0 in counts, partition
 

@@ -1,5 +1,7 @@
-"""The package surface: lazy exports, per-command imports, and perfbench's bindings."""
+"""The package surface: lazy exports, per-command imports, perfbench's bindings,
+and a package reader for every public name."""
 
+import ast
 import importlib
 import json
 import os
@@ -14,15 +16,15 @@ import ghzcc
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# Every name `import ghzcc` offered before its exports became lazy, by module.
+# Every name `import ghzcc` offered before its exports became lazy, by module,
+# less the two-party functions and protocols that moved to tests/oracles.py.
 EXPORTS = {
     "bitcore": (
         "BitString", "InvariantViolation", "PromiseTriple", "PromiseViolation",
-        "enumerate_promise", "f_ghz", "f_inner_product", "f_parity", "random_promise_triple",
+        "enumerate_promise", "f_ghz", "random_promise_triple",
     ),
     "protocols": (
-        "audit_run", "run_classical_count", "run_classical_three_bit", "run_ip_trivial",
-        "run_parity_one_bit", "run_quantum_two_bit",
+        "audit_run", "run_classical_count", "run_classical_three_bit", "run_quantum_two_bit",
     ),
     "qsim": (
         "TripleState", "apply_hadamard", "check_lemma1", "mermin_state", "sample_outcome",
@@ -91,21 +93,72 @@ def test_dir_lists_exports_and_unknown_names_raise():
     for module_name, names in EXPORTS.items():
         assert module_name in listed
         assert set(names) <= set(listed)
-    for name in ("no_such_name", "reduce_to_inner_product"):
+    for name in ("no_such_name", "reduce_to_inner_product", "f_parity", "run_ip_trivial"):
         with pytest.raises(AttributeError, match=name):
             getattr(ghzcc, name)
 
 
-def test_perfbench_bindings_resolve():
+def perfbench_bindings():
     # perfbench/spans.py wraps each (module, attribute) of BINDINGS in place.
     # Load it from source, so no bytecode is written under perfbench/.
     path = ROOT / "perfbench" / "spans.py"
     spans = types.ModuleType("spans")
     exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), spans.__dict__)
-    assert spans.BINDINGS
+    return spans.BINDINGS
+
+
+def test_perfbench_bindings_resolve():
+    bindings = perfbench_bindings()
+    assert bindings
     missing = [
         f"{module}.{attr}"
-        for module, attr, _ in spans.BINDINGS
+        for module, attr, _ in bindings
         if not hasattr(importlib.import_module(module), attr)
     ]
     assert missing == []
+
+
+# Public names that no package code reads, each with the reason it stays.
+UNREAD_BY_PACKAGE = {
+    "count_summary": "tests/test_acceptance.py checks r_A + r_B + r_C = 2k through it",
+}
+
+
+def public_definitions(tree: ast.Module):
+    """(qualified name, node) of each public module-level function, class and method."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item
+
+
+def test_every_public_name_has_a_package_reader():
+    # A read is a loaded name or an attribute access anywhere in the package
+    # outside the definition itself; import lines and __init__'s export
+    # strings do not count.
+    trees = [
+        ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted((ROOT / "src" / "ghzcc").glob("*.py"))
+    ]
+    nodes = [node for tree in trees for node in ast.walk(tree)]
+    bound = {attr for _, attr, _ in perfbench_bindings()}
+    unread = []
+    for tree in trees:
+        for qualname, definition in public_definitions(tree):
+            name = definition.name
+            inside = {id(node) for node in ast.walk(definition)}
+            read = any(
+                id(node) not in inside
+                and (
+                    isinstance(node, ast.Name) and node.id == name
+                    and isinstance(node.ctx, ast.Load)
+                    or isinstance(node, ast.Attribute) and node.attr == name
+                )
+                for node in nodes
+            )
+            if not read and name not in bound and name not in UNREAD_BY_PACKAGE:
+                unread.append(qualname)
+    assert unread == []

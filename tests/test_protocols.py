@@ -20,8 +20,6 @@ from ghzcc.bitcore import (
     PromiseTriple,
     enumerate_promise,
     f_ghz,
-    f_inner_product,
-    f_parity,
     random_promise_triple,
 )
 from ghzcc.protocols import (
@@ -30,12 +28,17 @@ from ghzcc.protocols import (
     count_summary,
     run_classical_count,
     run_classical_three_bit,
-    run_ip_trivial,
-    run_parity_one_bit,
     run_quantum_two_bit,
 )
 from ghzcc.cli import cmd_demo
-from oracles import protocol_agreement, quantum_output_support
+from oracles import (
+    f_inner_product,
+    f_parity,
+    protocol_agreement,
+    quantum_output_support,
+    run_ip_trivial,
+    run_parity_one_bit,
+)
 
 
 def bs(text: str) -> BitString:
@@ -367,15 +370,6 @@ class TestSchedulesBuiltOnce:
         assert runs[0].output_fn is runs[2].output_fn
         assert runs[3].steps is not runs[0].steps
         assert len(runs[3].steps) == 8
-
-    def test_parity_steps_are_shared(self):
-        first = run_parity_one_bit(bs("0110"), bs("1011"))
-        assert first.steps is run_parity_one_bit(bs("11"), bs("01")).steps
-
-    def test_word_steps_built_once_per_length(self):
-        a, b = run_ip_trivial(bs("011"), bs("110")), run_ip_trivial(bs("101"), bs("001"))
-        assert a.steps is b.steps
-        assert run_ip_trivial(bs("0110"), bs("1100")).steps is not a.steps
 
     def test_quantum_draws_reuse_the_sampling_tables(self, monkeypatch):
         rng = random.Random(6)

@@ -5,12 +5,14 @@ from fractions import Fraction
 
 import pytest
 
+from ghzcc import qsim
 from ghzcc.qsim import (
     BASIS,
     ExactnessError,
     Outcome,
     PARTIES,
     TripleState,
+    _amp_sq,
     apply_hadamard,
     check_lemma1,
     mermin_state,
@@ -19,6 +21,7 @@ from ghzcc.qsim import (
     support,
     transformed_state,
 )
+from oracles import basis
 
 LEGAL_COLUMNS = ((0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 1, 1))
 
@@ -28,15 +31,23 @@ MINUS_HALF = (-1, 0)
 ZERO = (0, 0)
 
 
+def amplitude(state: TripleState, b: str):
+    return state.amps[int(b, 2)]
+
+
+def probability(state: TripleState, b: str) -> Fraction:
+    return _amp_sq(amplitude(state, b))
+
+
 class TestMerminState:
     def test_exact_amplitudes(self):
         state = mermin_state()
-        assert state.amplitude("001") == HALF
-        assert state.amplitude("010") == HALF
-        assert state.amplitude("100") == HALF
-        assert state.amplitude("111") == MINUS_HALF
+        assert amplitude(state, "001") == HALF
+        assert amplitude(state, "010") == HALF
+        assert amplitude(state, "100") == HALF
+        assert amplitude(state, "111") == MINUS_HALF
         for absent in ("000", "011", "101", "110"):
-            assert state.amplitude(absent) == ZERO
+            assert amplitude(state, absent) == ZERO
 
     def test_support(self):
         assert support(mermin_state()) == {"001", "010", "100", "111"}
@@ -44,7 +55,7 @@ class TestMerminState:
     def test_probabilities_quarter_each(self):
         state = mermin_state()
         for b in ("001", "010", "100", "111"):
-            assert state.probability(b) == Fraction(1, 4)
+            assert probability(state, b) == Fraction(1, 4)
 
 
 class TestHadamard:
@@ -59,7 +70,7 @@ class TestHadamard:
         state = apply_hadamard(apply_hadamard(mermin_state(), "A"), "B")
         expected = {"000": HALF, "011": HALF, "101": HALF, "110": MINUS_HALF}
         for b in BASIS:
-            assert state.amplitude(b) == expected.get(b, ZERO)
+            assert amplitude(state, b) == expected.get(b, ZERO)
 
     def test_norm_stays_exact_under_random_sequences(self):
         rng = random.Random(11)
@@ -73,7 +84,7 @@ class TestHadamard:
         state = apply_hadamard(mermin_state(), "A")
         assert support(state) == set(BASIS)
         for b in BASIS:
-            assert state.probability(b) == Fraction(1, 8)
+            assert probability(state, b) == Fraction(1, 8)
 
     def test_unknown_party(self):
         with pytest.raises(ValueError):
@@ -99,7 +110,7 @@ class TestTransformedState:
         state = transformed_state((0, 0, 1))
         expected = {"000": HALF, "011": HALF, "101": HALF, "110": MINUS_HALF}
         for b in BASIS:
-            assert state.amplitude(b) == expected.get(b, ZERO)
+            assert amplitude(state, b) == expected.get(b, ZERO)
 
     @pytest.mark.parametrize("column", [(0, 1, 0), (1, 0, 0)])
     def test_weight_one_columns_have_even_parity_support(self, column):
@@ -110,7 +121,7 @@ class TestTransformedState:
         # Exploration outside the promise is allowed here; only the parity
         # law check is strict about legal columns.
         state = transformed_state((0, 0, 0))
-        assert sum(state.probability(b) for b in support(state)) == 1
+        assert sum(probability(state, b) for b in support(state)) == 1
 
     def test_bad_bits_rejected(self):
         with pytest.raises(ValueError):
@@ -148,14 +159,14 @@ class TestExactRepresentation:
     def test_mixed_amplitude_has_no_rational_probability(self):
         # (1,1) and (1,-1) cancel each other's sqrt(2) norm terms, so the
         # state is exactly normalized, but each squared magnitude alone is
-        # irrational and probability() must refuse.
+        # irrational and _amp_sq must refuse.
         amps = [ZERO] * 8
         amps[0] = (1, 1)
         amps[1] = (1, -1)
         amps[2] = (1, 0)
         state = TripleState(tuple(amps))
         with pytest.raises(ExactnessError):
-            state.probability(0)
+            _amp_sq(state.amps[0])
 
     def test_hadamard_outside_closure_raises(self):
         # Valid norm, but the C-pair (000, 001) has odd q-sum, so a C
@@ -171,21 +182,21 @@ class TestExactRepresentation:
 
 class TestSampling:
     def test_basis_state_is_certain(self):
-        state = TripleState.basis_state("011")
+        state = TripleState(tuple((2, 0) if i == 0b011 else ZERO for i in range(8)))
         outcome = sample_outcome(state, random.Random(0))
         assert outcome.bits == (0, 1, 1)
         assert outcome.probability == 1
 
     def test_distribution_object(self):
         outcomes = outcome_distribution(mermin_state())
-        assert [o.basis for o in outcomes] == ["001", "010", "100", "111"]
+        assert [basis(o) for o in outcomes] == ["001", "010", "100", "111"]
         assert all(o.probability == Fraction(1, 4) for o in outcomes)
 
     def test_seed_determinism(self):
         state = transformed_state((0, 0, 1))
-        first = [sample_outcome(state, random.Random(42)).basis for _ in range(1)]
+        first = [basis(sample_outcome(state, random.Random(42))) for _ in range(1)]
         runs = [
-            [sample_outcome(state, rng).basis for _ in range(200)]
+            [basis(sample_outcome(state, rng)) for _ in range(200)]
             for rng in (random.Random(9), random.Random(9))
         ]
         assert runs[0] == runs[1]
@@ -196,7 +207,7 @@ class TestSampling:
         state = mermin_state()
         legal = support(state)
         for _ in range(500):
-            assert sample_outcome(state, rng).basis in legal
+            assert basis(sample_outcome(state, rng)) in legal
 
     def test_frequencies_within_five_sigma(self):
         rng = random.Random(123)
@@ -204,7 +215,7 @@ class TestSampling:
         counts = {b: 0 for b in ("001", "010", "100", "111")}
         state = mermin_state()
         for _ in range(n):
-            counts[sample_outcome(state, rng).basis] += 1
+            counts[basis(sample_outcome(state, rng))] += 1
         sigma = (0.25 * 0.75 / n) ** 0.5
         for b, c in counts.items():
             assert abs(c / n - 0.25) < 5 * sigma, (b, c)
@@ -217,7 +228,7 @@ class TestSampling:
         n = 20_000
         counts = {b: 0 for b in ("001", "010", "100", "111")}
         for _ in range(n):
-            counts[sample_outcome(mermin_state(), rng).basis] += 1
+            counts[basis(sample_outcome(mermin_state(), rng))] += 1
         expected = n / 4
         chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
         assert chi2 < 16.27
@@ -225,3 +236,19 @@ class TestSampling:
     def test_outcome_probability_must_be_positive(self):
         with pytest.raises(ValueError):
             Outcome((0, 0, 0), Fraction(0))
+
+    def test_equal_states_share_one_sampling_table(self, monkeypatch):
+        rng = random.Random(0)
+        sample_outcome(mermin_state(), rng)
+        calls = []
+        distribution = qsim.outcome_distribution
+
+        def counted(state):
+            calls.append(state)
+            return distribution(state)
+
+        # A sampling table is built from outcome_distribution.
+        monkeypatch.setattr(qsim, "outcome_distribution", counted)
+        for _ in range(100):
+            sample_outcome(mermin_state(), rng)
+        assert calls == []
