@@ -453,8 +453,11 @@ def main(argv: list[str] | None = None) -> int:
         render_machine(report) if args.format == "machine" else render_text(report)
     )
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(rendered)
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(rendered)
+        except OSError as exc:
+            parser.error(f"cannot write --out {args.out}: {exc.strerror or exc}")
     else:
         sys.stdout.write(rendered)
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED

@@ -285,7 +285,6 @@ def replay_case(case_id: str) -> CaseReport:
 class CoverageAssignment(NamedTuple):
     partition: PartitionOfCube
     case_id: str
-    perm: tuple[int, int, int]
     verified: bool
 
 
@@ -342,7 +341,7 @@ def case_cover_check() -> CoverageReport:
         witness = CASES[case_id]
         image = _permute_set(partition.side(witness.class_side), perm)
         verified = {_as_value(m) for m in witness.class_members} <= image
-        assignments.append(CoverageAssignment(partition, case_id, perm, verified))
+        assignments.append(CoverageAssignment(partition, case_id, verified))
         counts[case_id] += 1
     return CoverageReport(128, tuple(assignments), tuple(unmapped), counts)
 

@@ -1,8 +1,9 @@
 """One-way protocol engine and the concrete protocols.
 
-Every protocol is one round of single-bit sends to Alice ("A"), each bit a
-function of its sender's own input only; Alice's output is a function of her
-input plus those bits. A run records its inputs, schedule and bits, so
+Every protocol is one round of single-bit sends to Alice ("A"). A protocol
+names one view, an int computed from a party's own input, and each send step
+is one bit position of its sender's view; Alice's output is a function of her
+input plus those bits. A run records its inputs, view, schedule and bits, so
 audit_run can re-derive both: the information-locality contract.
 """
 
@@ -13,16 +14,16 @@ from functools import lru_cache
 from typing import Any, Callable, Mapping, Sequence
 
 # f_ghz is unused here, but perfbench/spans.py traces ghzcc.protocols.f_ghz.
-from .bitcore import InvariantViolation, PromiseTriple, f_ghz
+from .bitcore import BitString, InvariantViolation, PromiseTriple, f_ghz
 from .qsim import sample_outcome, transformed_state
 
 
 @dataclass(frozen=True)
 class SendStep:
-    """One bit to Alice, computed by fn from the sender's own input."""
+    """One bit to Alice: bit pos of the sender's view of its own input."""
 
     sender: str
-    fn: Callable[[Any], int]
+    pos: int
 
 
 @dataclass(frozen=True)
@@ -32,6 +33,7 @@ class RunResult:
     output: int
     bits: tuple[int, ...]
     inputs: Mapping[str, Any]
+    view: Callable[[Any], int]
     steps: tuple[SendStep, ...]
     output_fn: Callable[[Any, tuple[int, ...]], int] | None
 
@@ -83,20 +85,15 @@ def count_summary(t: PromiseTriple) -> CountSummary:
 
 def run_protocol(
     inputs: Mapping[str, Any],
+    view: Callable[[Any], int],
     steps: Sequence[SendStep],
     output_fn: Callable[[Any, tuple[int, ...]], int],
 ) -> RunResult:
-    bits = []
-    for step in steps:
-        bit = step.fn(inputs[step.sender])
-        if bit not in (0, 1):
-            raise InvariantViolation(f"{step.sender} produced a non-bit {bit!r}")
-        bits.append(bit)
-    bits = tuple(bits)
+    bits = tuple([view(inputs[step.sender]) >> step.pos & 1 for step in steps])
     output = output_fn(inputs["A"], bits)
     if output not in (0, 1):
         raise InvariantViolation(f"A produced a non-bit output {output!r}")
-    return RunResult(output, bits, dict(inputs), tuple(steps), output_fn)
+    return RunResult(output, bits, dict(inputs), view, tuple(steps), output_fn)
 
 
 def audit_run(result: RunResult) -> AuditReport:
@@ -114,7 +111,7 @@ def audit_run(result: RunResult) -> AuditReport:
         failures.append(f"{len(bits)} records for {len(result.steps)} scheduled steps")
     for i, (step, bit) in enumerate(zip(result.steps, bits)):
         try:
-            expected = step.fn(result.inputs[step.sender])
+            expected = result.view(result.inputs[step.sender]) >> step.pos & 1
         except Exception as exc:
             failures.append(f"record {i}: replay from {step.sender}'s view failed: {exc!r}")
             expected = None
@@ -136,23 +133,16 @@ def audit_run(result: RunResult) -> AuditReport:
     return AuditReport(not failures, len(bits), tuple(failures))
 
 
-def _xor(bits: Sequence[int]) -> int:
-    """Parity of a sequence of 0/1 bits."""
-    return sum(bits) & 1
-
-
-def _send_measured_parity(local):
-    return _xor(local[1])
+def _outcome_parity(local) -> int:
+    """The quantum view: the parity of a party's dealt outcome bits."""
+    return sum(local[1]) & 1
 
 
 def _quantum_output(local, received):
-    return _xor(local[1]) ^ _xor(received)
+    return (sum(local[1]) + sum(received)) & 1
 
 
-_QUANTUM_STEPS = (
-    SendStep("B", _send_measured_parity),
-    SendStep("C", _send_measured_parity),
-)
+_QUANTUM_STEPS = (SendStep("B", 0), SendStep("C", 0))
 
 
 def run_quantum_two_bit(t: PromiseTriple, rng) -> RunResult:
@@ -167,21 +157,14 @@ def run_quantum_two_bit(t: PromiseTriple, rng) -> RunResult:
     """
     a, b, c = zip(*[sample_outcome(transformed_state(col), rng).bits for col in t.columns()])
     inputs = {"A": (t.x, a), "B": (t.y, b), "C": (t.z, c)}
-    return run_protocol(inputs, _QUANTUM_STEPS, _quantum_output)
-
-
-def _count_bit(pos: int):
-    def fn(word):
-        return (word.count_zeros() >> pos) & 1
-
-    return fn
+    return run_protocol(inputs, _outcome_parity, _QUANTUM_STEPS, _quantum_output)
 
 
 @lru_cache(maxsize=None)
 def _count_schedule(width: int, carol_drops_low: bool = False) -> tuple:
     """Send steps and Alice's output for zero counts sent as width-bit big-endian fields.
 
-    Every bit reads only its sender's zero count. With carol_drops_low Carol
+    Each step is one bit of its sender's zero count. With carol_drops_low Carol
     omits her low bit, which r_A + r_B + r_C = 2k forces to (r_A + r_B) mod 2.
     Exact or mod 2**width (width >= 2), half the total has k's parity, and
     Alice outputs (n - k) mod 2.
@@ -201,10 +184,8 @@ def _count_schedule(width: int, carol_drops_low: bool = False) -> tuple:
             raise InvariantViolation(f"zero-count total {total} is odd")
         return (word.length - total // 2) & 1
 
-    steps = tuple(SendStep("B", _count_bit(pos)) for pos in range(width - 1, -1, -1))
-    steps += tuple(
-        SendStep("C", _count_bit(pos)) for pos in range(width - 1, carol_drops_low - 1, -1)
-    )
+    steps = tuple(SendStep("B", pos) for pos in range(width - 1, -1, -1))
+    steps += tuple(SendStep("C", pos) for pos in range(width - 1, carol_drops_low - 1, -1))
     return steps, alice_output
 
 
@@ -212,7 +193,8 @@ def _run_counts(t: PromiseTriple, schedule: tuple) -> RunResult:
     # count_summary's check, without building a CountSummary on every run.
     _check_zero_counts(*_zero_counts(t))
     steps, alice_output = schedule
-    return run_protocol({"A": t.x, "B": t.y, "C": t.z}, steps, alice_output)
+    inputs = {"A": t.x, "B": t.y, "C": t.z}
+    return run_protocol(inputs, BitString.count_zeros, steps, alice_output)
 
 
 def run_classical_three_bit(t: PromiseTriple) -> RunResult:

@@ -192,26 +192,24 @@ def _parity_output(word, received):
     return parity(word) ^ received[0]
 
 
-_PARITY_STEPS = (SendStep("B", parity),)
+_PARITY_STEPS = (SendStep("B", 0),)
 
 
 def run_parity_one_bit(x: BitString, y: BitString) -> RunResult:
     """Two-party parity: Bob's single bit is the XOR of his word."""
     _check_equal_lengths(x, y)
-    return run_protocol({"A": x, "B": y}, _PARITY_STEPS, _parity_output)
+    return run_protocol({"A": x, "B": y}, parity, _PARITY_STEPS, _parity_output)
 
 
-def _word_bit(i: int):
-    def fn(word):
-        return word.bit(i)
-
-    return fn
+def _word_value(word: BitString) -> int:
+    """The word as an int: bit i - 1 is the word's position i."""
+    return word.bits
 
 
 @lru_cache(maxsize=None)
 def _word_steps(length: int) -> tuple[SendStep, ...]:
-    """Bob sends his word bit by bit, position 1 first."""
-    return tuple(SendStep("B", _word_bit(i)) for i in range(1, length + 1))
+    """Bob sends his word bit by bit, position 1 (bit 0 of its value) first."""
+    return tuple(SendStep("B", pos) for pos in range(length))
 
 
 def _ip_output(word, received):
@@ -222,4 +220,4 @@ def _ip_output(word, received):
 def run_ip_trivial(x: BitString, y: BitString) -> RunResult:
     """Two-party inner product the blunt way: Bob sends his whole word."""
     _check_equal_lengths(x, y)
-    return run_protocol({"A": x, "B": y}, _word_steps(y.length), _ip_output)
+    return run_protocol({"A": x, "B": y}, _word_value, _word_steps(y.length), _ip_output)

@@ -1,6 +1,8 @@
 """CLI commands, report formats, and exit codes."""
 
 import dataclasses
+import errno
+import io
 import json
 import os
 import subprocess
@@ -10,8 +12,7 @@ from pathlib import Path
 import pytest
 
 from ghzcc import cli, protocols, qsim
-from ghzcc.bitcore import InvariantViolation
-from ghzcc.protocols import SendStep
+from ghzcc.bitcore import BitString, InvariantViolation
 from ghzcc.cli import (
     EXIT_CHECK_FAILED,
     EXIT_OK,
@@ -265,6 +266,20 @@ class TestMainEntry:
         assert err.splitlines()[-1].startswith("ghzcc: error: cannot write --out ")
         assert not target.parent.exists()
 
+    def test_failed_out_write_is_a_usage_error(self, tmp_path, monkeypatch, capsys):
+        # The path opens, but the report's write fails after every check passed.
+        class FullDisk(io.StringIO):
+            def write(self, text):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(cli, "open", lambda *args, **kwargs: FullDisk(), raising=False)
+        target = tmp_path / "report.txt"
+        with pytest.raises(SystemExit) as exc:
+            main(["replay", "--out", str(target)])
+        assert exc.value.code == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1] == f"ghzcc: error: cannot write --out {target}: No space left on device"
+
     def test_verification_failure_exits_1(self, monkeypatch, capsys):
         def broken(column):
             raise InvariantViolation("forced failure for the exit-code contract")
@@ -369,15 +384,15 @@ def test_lemma1_state_fault_is_a_failed_check(fault, monkeypatch, capsys):
     assert checks["hadamard_involution"]["passed"]
 
 
-# Fault injection. Each fault wraps the real transcript engine or schedule, so
-# the injected protocol differs from the real one in exactly one place.
-def non_bit_step(monkeypatch):
+# Fault injection. Each fault wraps the real transcript engine, so the
+# injected protocol differs from the real one in exactly one place.
+def non_bit_output(monkeypatch):
+    # A sent bit is always a bit of a view; Alice's decoder is the one place
+    # a non-bit can still arise.
     real = protocols.run_protocol
 
-    def run(inputs, steps, output_fn, **kwargs):
-        first = steps[0]
-        steps = (SendStep(first.sender, lambda local: 2),) + steps[1:]
-        return real(inputs, steps, output_fn, **kwargs)
+    def run(inputs, view, steps, output_fn):
+        return real(inputs, view, steps, lambda word, received: 2)
 
     monkeypatch.setattr(protocols, "run_protocol", run)
 
@@ -394,28 +409,30 @@ def wrong_bit_on_the_wire(monkeypatch):
 
 
 def miscounting_bob(monkeypatch):
-    real = protocols._count_schedule
+    # Bob reads his input through count_zeros() ^ 1, which flips his low count
+    # bit; the run records that view, so its audit replays the same miscount.
+    real = protocols.run_protocol
 
-    def schedule(width, *rest):
-        steps, output = real(width, *rest)
-        low = steps[width - 1]  # Bob's last count bit
-        wrong = SendStep("B", lambda word: low.fn(word) ^ 1)
-        return steps[: width - 1] + (wrong,) + steps[width:], output
+    def run(inputs, view, steps, output_fn):
+        if view is BitString.count_zeros:
+            bob = inputs["B"]
+            view = lambda word: word.count_zeros() ^ (word is bob)
+        return real(inputs, view, steps, output_fn)
 
-    monkeypatch.setattr(protocols, "_count_schedule", schedule)
+    monkeypatch.setattr(protocols, "run_protocol", run)
 
 
 FIRST_TRIPLE = "(x=0, y=0, z=1)"  # enumerate_promise(1) starts with column 001
-NON_BIT = "InvariantViolation: B produced a non-bit 2"
+NON_BIT = "InvariantViolation: A produced a non-bit output 2"
 ODD_TOTAL = "InvariantViolation: zero-count total"
 
 
 @pytest.mark.parametrize(
     "inject,scope,check,reason",
     [
-        (non_bit_step, "quantum", "quantum_exhaustive_n1", NON_BIT),
-        (non_bit_step, "classical", "classical_three_bit_n1", NON_BIT),
-        (non_bit_step, "classical", "classical_count_n1", NON_BIT),
+        (non_bit_output, "quantum", "quantum_exhaustive_n1", NON_BIT),
+        (non_bit_output, "classical", "classical_three_bit_n1", NON_BIT),
+        (non_bit_output, "classical", "classical_count_n1", NON_BIT),
         (wrong_bit_on_the_wire, "quantum", "quantum_exhaustive_n1", "audit: record 0: bit"),
         (wrong_bit_on_the_wire, "classical", "classical_three_bit_n1", "audit: record 0: bit"),
         (wrong_bit_on_the_wire, "classical", "classical_count_n1", "audit: record 0: bit"),
@@ -459,9 +476,9 @@ def test_wrong_bit_witness_carries_transcript_and_audit_failures(monkeypatch):
 @pytest.mark.parametrize(
     "inject,failing",
     [
-        (non_bit_step, {"quantum_matches_direct", "three_bit_matches_direct",
-                        "count_matches_direct", "quantum_cost_two", "three_bit_cost_three",
-                        "count_cost_formula", "audits_pass"}),
+        (non_bit_output, {"quantum_matches_direct", "three_bit_matches_direct",
+                          "count_matches_direct", "quantum_cost_two", "three_bit_cost_three",
+                          "count_cost_formula", "audits_pass"}),
         (wrong_bit_on_the_wire, {"audits_pass"}),
         (miscounting_bob, {"count_matches_direct", "count_cost_formula", "audits_pass"}),
     ],

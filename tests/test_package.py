@@ -162,3 +162,42 @@ def test_every_public_name_has_a_package_reader():
             if not read and name not in bound and name not in UNREAD_BY_PACKAGE:
                 unread.append(qualname)
     assert unread == []
+
+
+def record_fields(tree: ast.Module):
+    """(class node, field name) of each NamedTuple or dataclass field."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        bases = {ast.unparse(base) for base in node.bases}
+        decorators = {ast.unparse(d).partition("(")[0] for d in node.decorator_list}
+        if "NamedTuple" in bases or "dataclass" in decorators:
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    yield node, item.target.id
+
+
+def test_every_record_field_has_a_reader():
+    # A read is an attribute load of the field's name in the package or the
+    # tests, outside the record's own class body.
+    package = [
+        ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted((ROOT / "src" / "ghzcc").glob("*.py"))
+    ]
+    tests = [
+        ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted((ROOT / "tests").glob("*.py"))
+    ]
+    reads = [
+        node
+        for tree in package + tests
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    ]
+    unread = []
+    for tree in package:
+        for record, field in record_fields(tree):
+            inside = {id(node) for node in ast.walk(record)}
+            if not any(node.attr == field and id(node) not in inside for node in reads):
+                unread.append(f"{record.name}.{field}")
+    assert unread == []

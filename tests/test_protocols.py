@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import itertools
 import json
 import os
 import random
@@ -87,6 +88,13 @@ class TestQuantumTwoBit:
             t = random_promise_triple(6, rng)
             assert quantum_output_support(t) == {f_ghz(t)}
 
+    def test_sent_bits_are_the_parity_of_the_dealt_outcomes(self):
+        rng = random.Random(12)
+        for n in (1, 2, 7, 32):
+            for _ in range(50):
+                result = run_quantum_two_bit(random_promise_triple(n, rng), rng)
+                assert result.bits == tuple(sum(result.inputs[p][1]) & 1 for p in "BC")
+
     def test_local_data_carries_measured_bits(self):
         t = PromiseTriple.from_strs("001", "010", "100")
         result = run_quantum_two_bit(t, random.Random(5))
@@ -156,6 +164,21 @@ class TestClassicalCount:
             t = random_promise_triple(n, rng)
             report = audit_run(run_classical_count(t))
             assert report.passed and report.cost == 2 * n.bit_length()
+
+
+class TestColumnPermutationInvariance:
+    # Every classical bit and Alice's decoder read only zero counts and the
+    # length, which no reordering of the columns can change.
+    @pytest.mark.parametrize("n", range(1, 5))
+    @pytest.mark.parametrize("run", [run_classical_three_bit, run_classical_count])
+    def test_bits_and_output_survive_every_column_permutation(self, run, n):
+        for t in enumerate_promise(n):
+            expected = run(t)
+            words = [str(w) for w in (t.x, t.y, t.z)]
+            for perm in itertools.permutations(range(n)):
+                moved = PromiseTriple.from_strs(*("".join(w[i] for i in perm) for w in words))
+                result = run(moved)
+                assert (result.bits, result.output) == (expected.bits, expected.output)
 
 
 class TestCountingIdentity:
@@ -336,6 +359,14 @@ class TestAudit:
         assert smuggled.cost == 4
         assert smuggled.transcript == "B->A:1 B->A:0 C->A:0 ?->A:1"
         assert "4 records for 3 scheduled steps" in audit_run(smuggled).failures
+
+    @pytest.mark.parametrize("protocol", sorted(ALL_RUNS))
+    def test_swapped_view_names_the_records_it_changes(self, protocol):
+        for result in ALL_RUNS[protocol]():
+            report = audit_run(dataclasses.replace(result, view=lambda local: 0))
+            named = {int(f.split(":")[0].split()[1]) for f in report.failures}
+            assert named == {i for i, bit in enumerate(result.bits) if bit}
+            assert report.passed == (not any(result.bits))
 
     def test_result_without_replay_data_fails_closed(self):
         bare = dataclasses.replace(
