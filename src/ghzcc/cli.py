@@ -270,7 +270,7 @@ def _verify_cases(report: Report) -> None:
             f"case_{case_id}",
             case.passed,
             tuples=len(case.tuple_checks),
-            joint_feasible=case.feasibility.feasible,
+            joint_feasible=case.feasibility.joint.feasible,
         )
     coverage = lowerbound.case_cover_check()
     report.check(
@@ -362,7 +362,7 @@ def cmd_replay(case: str | None) -> Report:
             tuples=[list(check) for check in result.tuple_checks],
             apart=[list(p) for p in result.feasibility.joint.apart],
             together=[list(p) for p in result.feasibility.joint.together],
-            joint_feasible=result.feasibility.feasible,
+            joint_feasible=result.feasibility.joint.feasible,
         )
         report.check(f"case_{case_id}", result.passed, failures=list(result.failures))
     if not case:
@@ -433,6 +433,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"--n must be in 1..{MAX_VERIFY_N}")
     if args.command == "search" and args.workers < 1:
         parser.error("--workers must be >= 1")
+    if getattr(args, "seed", 0) < 0:  # random.Random(-s) would replay seed s
+        parser.error("--seed must be >= 0")
     if args.out:
         # An unwritable report path is a usage error, found before the command runs.
         try:

@@ -27,7 +27,7 @@ import time
 from functools import lru_cache
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .bitcore import FrozenValue, PromiseTriple, f_ghz, inner_product_table
+from .bitcore import PromiseTriple, _two_party_rows, f_ghz, inner_product_table
 
 ALL3 = 7  # all-ones word of length 3
 _PERMS = tuple(itertools.permutations((0, 1, 2)))
@@ -73,24 +73,9 @@ def _permute_set(values: Iterable[int], perm: tuple[int, int, int]) -> frozenset
 # ---------------------------------------------------------------------------
 
 
-class PartitionOfCube(FrozenValue):
-    """Bob's one-bit broadcast as a subset mask: bit y set means phi(y) = 1.
-
-    Normalized so that 000 lands in class 0.
-    """
-
-    __slots__ = ("mask",)
-
-    def __init__(self, mask: int) -> None:
-        if not 0 <= mask <= 255:
-            raise ValueError(f"mask {mask} outside 0..255")
-        if mask & 1:
-            raise ValueError("normalization requires 000 in class 0")
-        object.__setattr__(self, "mask", mask)
-
-    def side(self, b: int) -> frozenset[int]:
-        """The words y that Bob announces as bit b."""
-        return frozenset(y for y in range(8) if (self.mask >> y) & 1 == b)
+def _side(mask: int, b: int) -> frozenset[int]:
+    """Words y Bob announces as bit b; a partition is its mask (even: 000 in class 0)."""
+    return frozenset(y for y in range(8) if (mask >> y) & 1 == b)
 
 
 class TogetherApartConstraints(NamedTuple):
@@ -110,10 +95,6 @@ class TogetherApartConstraints(NamedTuple):
 class CarolFeasibility(NamedTuple):
     candidates: Mapping[str, tuple[tuple[str, str, int], ...]]
     joint: TogetherApartConstraints
-
-    @property
-    def feasible(self) -> bool:
-        return self.joint.feasible
 
 
 def _two_color(edges: set[tuple[int, int]]) -> TogetherApartConstraints:
@@ -277,13 +258,13 @@ def replay_case(case_id: str) -> CaseReport:
                     f"{label}: listed value {expected}, re-derived {got} (packed {packed})"
                 )
             tuple_checks.append((label, expected, got, ok))
-    if feas.feasible:
+    if feas.joint.feasible:
         failures.append("joint constraints are 2-colorable; case does not eliminate")
     return CaseReport(case_id, witness.header, tuple(tuple_checks), feas, tuple(failures))
 
 
 class CoverageAssignment(NamedTuple):
-    partition: PartitionOfCube
+    partition: int  # broadcast mask
     case_id: str
     verified: bool
 
@@ -291,7 +272,7 @@ class CoverageAssignment(NamedTuple):
 class CoverageReport(NamedTuple):
     total: int
     assignments: tuple[CoverageAssignment, ...]
-    unmapped: tuple[PartitionOfCube, ...]
+    unmapped: tuple[int, ...]
     counts: Mapping[str, int]
 
     @property
@@ -330,16 +311,16 @@ def case_cover_check() -> CoverageReport:
     permuted image of the matching broadcast class.
     """
     assignments: list[CoverageAssignment] = []
-    unmapped: list[PartitionOfCube] = []
+    unmapped: list[int] = []
     counts: dict[str, int] = {case_id: 0 for case_id in CASES}
-    for partition in map(PartitionOfCube, range(0, 256, 2)):
-        result = _classify_partition(partition.side(0))
+    for partition in range(0, 256, 2):
+        result = _classify_partition(_side(partition, 0))
         if result is None:
             unmapped.append(partition)
             continue
         case_id, perm = result
         witness = CASES[case_id]
-        image = _permute_set(partition.side(witness.class_side), perm)
+        image = _permute_set(_side(partition, witness.class_side), perm)
         verified = {_as_value(m) for m in witness.class_members} <= image
         assignments.append(CoverageAssignment(partition, case_id, verified))
         counts[case_id] += 1
@@ -442,9 +423,8 @@ def _xor_pull(t: int) -> tuple[int, ...]:
 @lru_cache(maxsize=None)
 def _ghz_game() -> _Game:
     # Carol's word is z = x ^ y ^ 111, so her pull is an involution.
-    rows = tuple(sum(f3(x, y) << y for y in range(8)) for x in range(8))
     carol = tuple(_xor_pull(x ^ ALL3) for x in range(8))
-    return _Game(rows, {"A": None, "B": (range(256),) * 8, "C": carol}, 255)
+    return _Game(_two_party_rows(3, f3), {"A": None, "B": (range(256),) * 8, "C": carol}, 255)
 
 
 def _two_party_game(rows: Sequence[int]) -> _Game:

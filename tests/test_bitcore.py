@@ -26,7 +26,6 @@ from ghzcc.bitcore import (
     parity_table,
     random_promise_triple,
 )
-from ghzcc.lowerbound import PartitionOfCube
 from oracles import f_inner_product, f_parity, parity, reduce_to_inner_product
 
 
@@ -248,15 +247,11 @@ BAD_VALUES = (
         "PromiseTriple.from_strs('001', '001', '110')",
         "PromiseViolation: column 3 is 110, not one of 001/010/100/111",
     ),
-    ("PartitionOfCube(256)", "ValueError: mask 256 outside 0..255"),
-    ("PartitionOfCube(-2)", "ValueError: mask -2 outside 0..255"),
-    ("PartitionOfCube(1)", "ValueError: normalization requires 000 in class 0"),
 )
 
 # Prints each BAD_VALUES construction's error; run both in-process and under -O.
 CONSTRUCTION_ERRORS = f"""
 from ghzcc.bitcore import BitString, PromiseTriple
-from ghzcc.lowerbound import PartitionOfCube
 for source in {[source for source, _ in BAD_VALUES]!r}:
     try:
         eval(source)
@@ -267,11 +262,11 @@ for source in {[source for source, _ in BAD_VALUES]!r}:
 
 
 class TestValueTypes:
-    """BitString, PromiseTriple and PartitionOfCube behave as frozen values."""
+    """BitString and PromiseTriple behave as frozen values."""
 
     def values(self):
         t = PromiseTriple.from_strs("001", "001", "111")
-        return (bs("101"), t, PartitionOfCube(6))
+        return (bs("101"), t)
 
     def test_fields_refuse_assignment_and_deletion(self):
         for value in self.values():
@@ -286,7 +281,7 @@ class TestValueTypes:
         assert (w.length, w.bits) == (3, 5)
 
     def test_equality_and_hash_go_by_fields(self):
-        w, t, partition = self.values()
+        w, t = self.values()
         assert BitString(3, 5) == w and hash(w) == hash((3, 5))
         assert BitString(3, 5) != (3, 5)
         assert BitString(3, 5) != BitString(4, 5)
@@ -294,18 +289,15 @@ class TestValueTypes:
         assert t == PromiseTriple(BitString(3, 4), BitString(3, 4), BitString(3, 7))
         assert hash(t) == hash((t.x, t.y, t.z))
         assert t != (t.x, t.y, t.z)
-        assert partition == PartitionOfCube(6) and hash(partition) == hash((6,))
-        assert partition != PartitionOfCube(4) and partition != (6,)
-        assert len({w, BitString(3, 5), t, partition, PartitionOfCube(6)}) == 3
+        assert len({w, BitString(3, 5), t}) == 2
 
     def test_repr(self):
-        w, t, partition = self.values()
+        w, t = self.values()
         assert repr(w) == "BitString(length=3, bits=5)"
         assert repr(t) == (
             "PromiseTriple(x=BitString(length=3, bits=4), "
             "y=BitString(length=3, bits=4), z=BitString(length=3, bits=7))"
         )
-        assert repr(partition) == "PartitionOfCube(mask=6)"
 
     def test_copy_and_pickle_round_trip(self):
         for value in self.values():

@@ -266,6 +266,23 @@ class TestMainEntry:
         assert err.splitlines()[-1].startswith("ghzcc: error: cannot write --out ")
         assert not target.parent.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["demo", "--n", "3", "--seed", "-5"],
+            ["verify", "--scope", "quantum", "--n", "2", "--seed", "-5"],
+            ["search", "--scope", "ip3", "--seed", "-5"],
+        ],
+        ids=["demo", "verify", "search"],
+    )
+    def test_negative_seed_is_a_usage_error(self, argv, monkeypatch, capsys):
+        # random.Random seeds with abs(seed), so -5 would print seed 5's body.
+        monkeypatch.setattr(cli, f"cmd_{argv[0]}", lambda *args: pytest.fail("command ran"))
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_USAGE
+        assert capsys.readouterr().err.splitlines()[-1] == "ghzcc: error: --seed must be >= 0"
+
     def test_failed_out_write_is_a_usage_error(self, tmp_path, monkeypatch, capsys):
         # The path opens, but the report's write fails after every check passed.
         class FullDisk(io.StringIO):
@@ -339,6 +356,11 @@ def test_machine_report_matches_golden(argv, golden, capsys):
         (["replay"], "replay.txt"),
         (["replay", "--case", "2.2.1"], "replay_case_2.2.1.txt"),
         (["verify", "--scope", "cases"], "verify_cases.txt"),
+        (["demo", "--n", "5", "--seed", "0"], "demo_n5_seed0.txt"),
+        (
+            ["search", "--scope", "blackboard", "--workers", "1", "--seed", "0"],
+            "search_blackboard.txt",
+        ),
     ],
 )
 def test_text_report_matches_golden(argv, golden, capsys):

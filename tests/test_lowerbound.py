@@ -26,8 +26,8 @@ from ghzcc.lowerbound import (
     _PERMS,
     _PERMUTED,
     CASES,
-    PartitionOfCube,
     _as_value,
+    _side,
     _three_bit_transcript,
     carol_partition_feasible,
     case_cover_check,
@@ -53,8 +53,8 @@ from oracles import (
     permute_val,
 )
 
-# All 128 normalized broadcast partitions (000 in class 0).
-PARTITIONS = tuple(PartitionOfCube(mask) for mask in range(0, 256, 2))
+# All 128 normalized broadcast partitions as masks (even: 000 in class 0).
+PARTITIONS = range(0, 256, 2)
 
 
 def ref_ghz(x: str, y: str, z: str) -> int:
@@ -94,14 +94,12 @@ class TestCarolPartition:
         assert ("101", "111") in constraints.together
         assert ("100", "111") in constraints.apart
         assert ("100", "101") in constraints.apart
-        assert report.feasible
 
     def test_second_x_makes_it_infeasible(self):
         report = carol_partition_feasible(["001", "011"], {"001", "010", "011"})
         assert carol_partition_feasible("001", {"001", "010", "011"}).joint.feasible
         assert carol_partition_feasible("011", {"001", "010", "011"}).joint.feasible
         assert not report.joint.feasible
-        assert not report.feasible
 
     def test_one_receiver_input_is_always_feasible(self):
         # For one x the apart graph is complete bipartite between the f = 0
@@ -110,17 +108,16 @@ class TestCarolPartition:
             for mask in range(1, 256):
                 report = carol_partition_feasible(x, [y for y in range(8) if mask >> y & 1])
                 assert report.joint.feasible
-                assert report.feasible
 
     def test_single_candidate_always_feasible(self):
         for x in range(8):
             report = carol_partition_feasible(x, {0b010})
-            assert report.feasible
+            assert report.joint.feasible
             assert report.joint.apart == ()
 
     def test_accepts_mixed_value_forms(self):
         report = carol_partition_feasible([1, "011"], {1, 2, 3})
-        assert not report.feasible  # same instance as the string version
+        assert not report.joint.feasible  # same instance as the string version
 
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
@@ -134,7 +131,7 @@ class TestCaseReplay:
         for case_id in CASES:
             report = replay_case(case_id)
             assert report.passed, (case_id, report.failures)
-            assert not report.feasibility.feasible
+            assert not report.feasibility.joint.feasible
 
     def test_full_replay_colors_one_graph_per_case(self, monkeypatch):
         calls = []
@@ -210,21 +207,16 @@ class TestCaseReplay:
 
 
 class TestPartitions:
-    def test_normalization_enforced(self):
-        with pytest.raises(ValueError):
-            PartitionOfCube(0b00000001)
-        with pytest.raises(ValueError):
-            PartitionOfCube(256)
-
     def test_enumeration_yields_128_distinct(self):
-        masks = [a.partition.mask for a in case_cover_check().assignments]
-        assert len(masks) == len(set(masks)) == 128
+        # Every even mask once: each split of the cube with 000 in class 0.
+        masks = [a.partition for a in case_cover_check().assignments]
+        assert masks == list(range(0, 256, 2))
 
     def test_classes_partition_the_cube(self):
         for p in PARTITIONS:
-            assert p.side(0) | p.side(1) == frozenset(range(8))
-            assert not p.side(0) & p.side(1)
-            assert 0 in p.side(0)
+            assert _side(p, 0) | _side(p, 1) == frozenset(range(8))
+            assert not _side(p, 0) & _side(p, 1)
+            assert 0 in _side(p, 0)
 
 
 class TestCoverage:
@@ -239,19 +231,19 @@ class TestCoverage:
 
     def test_smallest_class_goes_to_case_1(self):
         report = case_cover_check()
-        by_mask = {a.partition.mask: a for a in report.assignments}
+        by_mask = {a.partition: a for a in report.assignments}
         assert by_mask[0b11111110].case_id == "1"  # S0 = {000}
 
     def test_weight_one_third_element_goes_to_case_21x(self):
         report = case_cover_check()
-        by_mask = {a.partition.mask: a for a in report.assignments}
+        by_mask = {a.partition: a for a in report.assignments}
         # S0 = {000, 001, 010}: mask has bits for everything else.
         mask = 0b11111000
         assert by_mask[mask].case_id.startswith("2.1")
 
     def test_full_cube_class_goes_to_222(self):
         report = case_cover_check()
-        by_mask = {a.partition.mask: a for a in report.assignments}
+        by_mask = {a.partition: a for a in report.assignments}
         # S0 = {000, 011, 111}: complement mask selects the rest.
         mask = 0b01110110
         assert by_mask[mask].case_id == "2.2.2"
@@ -278,17 +270,17 @@ class TestBroadcastSearch:
         all_x = list(range(8))
         for partition in PARTITIONS:
             for side in (0, 1):
-                y_class = partition.side(side)
+                y_class = _side(partition, side)
                 by_masks = carol_response_count(y_class) > 0
                 if y_class:
-                    by_coloring = carol_partition_feasible(all_x, y_class).feasible
+                    by_coloring = carol_partition_feasible(all_x, y_class).joint.feasible
                 else:
                     by_coloring = True  # empty class never occurs; any response works
                 assert by_masks == by_coloring, (partition, side)
 
     def test_every_partition_has_a_bad_side(self):
         for partition in PARTITIONS:
-            counts = [carol_response_count(partition.side(b)) for b in (0, 1)]
+            counts = [carol_response_count(_side(partition, b)) for b in (0, 1)]
             assert 0 in counts, partition
 
     def test_constant_broadcast_is_infeasible(self):

@@ -118,6 +118,43 @@ def test_perfbench_bindings_resolve():
     assert missing == []
 
 
+def test_perfbench_pinned_counts(monkeypatch):
+    # The counts perfbench/selftest.py's Smoke.test_traced pins, wrapped at the
+    # same (module, attribute) bindings as perfbench/spans.py. A count here
+    # moves only with ROADMAP item 1, which re-baselines the benchmark.
+    from ghzcc import bitcore, cli, lowerbound, protocols
+
+    calls = {}
+    sample_outcome, replay_case = protocols.sample_outcome, lowerbound.replay_case
+    enumerate_promise = bitcore.enumerate_promise
+
+    def counting(key, fn):
+        def wrapper(*args):
+            calls[key] = calls.get(key, 0) + 1
+            return fn(*args)
+
+        return wrapper
+
+    def triples(n):
+        for t in enumerate_promise(n):
+            calls["triples"] = calls.get("triples", 0) + 1
+            yield t
+
+    monkeypatch.setattr(protocols, "sample_outcome", counting("sample_outcome", sample_outcome))
+    monkeypatch.setattr(lowerbound, "replay_case", counting("replay_case", replay_case))
+    monkeypatch.setattr(bitcore, "enumerate_promise", triples)
+    for seed in (0, 1, 7):
+        calls.clear()
+        assert cli.cmd_demo(32, seed).passed
+        assert calls == {"sample_outcome": 32}, seed
+    calls.clear()
+    assert cli.cmd_verify("all", 3, 0).passed
+    assert calls["triples"] == sum(4**k for k in range(1, 4)) * 2 == 168
+    calls.clear()
+    assert cli.cmd_replay(None).passed
+    assert calls == {"replay_case": 7}
+
+
 # Public names that no package code reads, each with the reason it stays.
 UNREAD_BY_PACKAGE = {
     "count_summary": "tests/test_acceptance.py checks r_A + r_B + r_C = 2k through it",
