@@ -142,10 +142,6 @@ class PromiseTriple(FrozenValue):
     def length(self) -> int:
         return self.x.length
 
-    def columns(self) -> Iterator[tuple[int, int, int]]:
-        x, y, z = self.x.bits, self.y.bits, self.z.bits
-        return (((x >> i) & 1, (y >> i) & 1, (z >> i) & 1) for i in range(self.length))
-
     def __str__(self) -> str:
         return f"(x={self.x}, y={self.y}, z={self.z})"
 
@@ -179,10 +175,15 @@ def random_promise_triple(n: int, rng) -> PromiseTriple:
     if not 1 <= n <= MAX_LENGTH:
         raise ValueError(f"n must be in 1..{MAX_LENGTH}, got {n}")
     # LEGAL_COLUMNS[c] has x_i = c >> 1 and y_i = c & 1; z follows from the promise.
+    # A code is what CPython's rng.randrange(4) returns: getrandbits(3), drawn
+    # again while above 3. Written out, the loop reads the same generator
+    # words, so every seeded triple and every later draw stay the same.
     xb = yb = 0
-    draw = rng.randrange
+    getrandbits = rng.getrandbits
     for i in range(n):
-        code = draw(4)
+        code = getrandbits(3)
+        while code > 3:
+            code = getrandbits(3)
         xb |= (code >> 1) << i
         yb |= (code & 1) << i
     zb = ((1 << n) - 1) ^ xb ^ yb

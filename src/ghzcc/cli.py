@@ -39,7 +39,10 @@ def _load_protocol_layer() -> None:
 
 
 class Report:
-    """One command's checks and notes, rendered by render_machine or render_text."""
+    """One command's checks and notes, rendered by render_machine or render_text.
+
+    Each entry is held as its final machine record, "type" key included.
+    """
 
     def __init__(self, command: str, params: dict[str, Any]) -> None:
         self.command = command
@@ -54,15 +57,11 @@ class Report:
         return all(c["passed"] for c in self.checks)
 
     def check(self, name: str, passed: bool, **detail: Any) -> bool:
-        entry = {"name": name, "passed": bool(passed)}
-        entry.update(detail)
-        self.checks.append(entry)
+        self.checks.append({"type": "check", "name": name, "passed": bool(passed), **detail})
         return passed
 
     def note(self, kind: str, **detail: Any) -> None:
-        entry: dict[str, Any] = {"kind": kind}
-        entry.update(detail)
-        self.info.append(entry)
+        self.info.append({"type": "info", "kind": kind, **detail})
 
 
 def _default(value: Any) -> Any:
@@ -85,8 +84,8 @@ _encode = (_json.encode if json.encoder.c_make_encoder is None else
 def render_machine(report: Report) -> str:
     records = [{"type": "header", "schema": report.schema, "command": report.command,
                 "params": report.params}]
-    records += ({"type": "info", **entry} for entry in report.info)
-    records += ({"type": "check", **entry} for entry in report.checks)
+    records += report.info
+    records += report.checks
     failed = sum(1 for c in report.checks if not c["passed"])
     records.append({"type": "summary", "passed": report.passed,
                     "checks": len(report.checks), "failed": failed})
@@ -103,7 +102,7 @@ def render_text(report: Report) -> str:
     for entry in report.info:
         kind = entry["kind"]
         rest = " ".join(
-            f"{k}={_compact(v)}" for k, v in entry.items() if k != "kind"
+            f"{k}={_compact(v)}" for k, v in entry.items() if k not in ("type", "kind")
         )
         lines.append(f"  {kind}: {rest}")
     for entry in report.checks:
@@ -111,7 +110,7 @@ def render_text(report: Report) -> str:
         rest = " ".join(
             f"{k}={_compact(v)}"
             for k, v in entry.items()
-            if k not in ("name", "passed")
+            if k not in ("type", "name", "passed")
         )
         lines.append(f"check {entry['name']}: {status}" + (f" ({rest})" if rest else ""))
     failed = sum(1 for c in report.checks if not c["passed"])
@@ -437,8 +436,9 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--seed must be >= 0")
     if args.out:
         # An unwritable report path is a usage error, found before the command runs.
+        # Mode "a" leaves an existing report whole until the final write.
         try:
-            open(args.out, "w", encoding="utf-8").close()
+            open(args.out, "a", encoding="utf-8").close()
         except OSError as exc:
             parser.error(f"cannot write --out {args.out}: {exc.strerror or exc}")
 

@@ -11,23 +11,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 # f_ghz is unused here, but perfbench/spans.py traces ghzcc.protocols.f_ghz.
-from .bitcore import BitString, InvariantViolation, PromiseTriple, f_ghz
+from .bitcore import LEGAL_COLUMNS, BitString, InvariantViolation, PromiseTriple, f_ghz
 from .qsim import sample_outcome, transformed_state
 
 
-@dataclass(frozen=True)
-class SendStep:
+class SendStep(NamedTuple):
     """One bit to Alice: bit pos of the sender's view of its own input."""
 
     sender: str
     pos: int
 
 
-@dataclass(frozen=True)
-class RunResult:
+class RunResult(NamedTuple):
     """Outcome of one protocol run: bits[i] is the bit steps[i] sent to Alice."""
 
     output: int
@@ -48,8 +46,7 @@ class RunResult:
         return " ".join(scheduled + [f"?->A:{bit}" for bit in self.bits[len(self.steps):]])
 
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(NamedTuple):
     passed: bool
     cost: int
     failures: tuple[str, ...] = ()
@@ -155,7 +152,15 @@ def run_quantum_two_bit(t: PromiseTriple, rng) -> RunResult:
     the measurement of an entangled triple; the dealt bits then count as part
     of each party's local input.
     """
-    a, b, c = zip(*[sample_outcome(transformed_state(col), rng).bits for col in t.columns()])
+    # The four column states, indexed like LEGAL_COLUMNS by the code (x_i << 1) | y_i.
+    # sample_outcome and run_protocol are read from the module on every call,
+    # where perfbench/spans.py wraps them.
+    states = [transformed_state(column) for column in LEGAL_COLUMNS]
+    x, y = t.x.bits, t.y.bits
+    a, b, c = zip(*[
+        sample_outcome(states[(x >> i & 1) << 1 | y >> i & 1], rng).bits
+        for i in range(t.length)
+    ])
     inputs = {"A": (t.x, a), "B": (t.y, b), "C": (t.z, c)}
     return run_protocol(inputs, _outcome_parity, _QUANTUM_STEPS, _quantum_output)
 

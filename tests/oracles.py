@@ -8,9 +8,10 @@ agreement check, the quantum protocol's full output support, the string
 form of the bit-position permutation, and the machine renderer that walks
 every value before encoding each record with a new encoder.
 
-It also holds the two-party parity and inner-product functions with their
-one-way protocols (one bit, and Bob's whole word): the row tables and the
-engine are checked against them, but no command runs them.
+It also holds code that no command runs: a triple's column list, and the
+two-party parity and inner-product functions with their one-way protocols
+(one bit, and Bob's whole word), which the row tables and the engine are
+checked against.
 """
 
 from __future__ import annotations
@@ -31,6 +32,12 @@ from ghzcc.protocols import (
     run_quantum_two_bit,
 )
 from ghzcc.qsim import Outcome, outcome_distribution, transformed_state
+
+
+def columns(t: PromiseTriple) -> list[tuple[int, int, int]]:
+    """The columns (x_i, y_i, z_i) of t, position 1 first."""
+    x, y, z = t.x.bits, t.y.bits, t.z.bits
+    return [((x >> i) & 1, (y >> i) & 1, (z >> i) & 1) for i in range(t.length)]
 
 
 def reduce_to_inner_product(t: PromiseTriple) -> tuple[BitString, BitString]:
@@ -114,7 +121,7 @@ def quantum_output_support(t: PromiseTriple) -> set[int]:
     """
     per_column = [
         [outcome.bits for outcome in outcome_distribution(transformed_state(col))]
-        for col in t.columns()
+        for col in columns(t)
     ]
     # s_A ^ s_B ^ s_C is the parity of every bit of the joint outcome.
     return {sum(map(sum, combo)) & 1 for combo in itertools.product(*per_column)}

@@ -1,6 +1,5 @@
 """CLI commands, report formats, and exit codes."""
 
-import dataclasses
 import errno
 import io
 import json
@@ -266,6 +265,24 @@ class TestMainEntry:
         assert err.splitlines()[-1].startswith("ghzcc: error: cannot write --out ")
         assert not target.parent.exists()
 
+    def test_existing_out_survives_an_interrupted_command(self, tmp_path, monkeypatch, capsys):
+        target = tmp_path / "report.txt"
+        old = "OLD REPORT\n" * 1000
+        target.write_text(old)
+
+        def interrupted(case):
+            raise KeyboardInterrupt
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "cmd_replay", interrupted)
+            with pytest.raises(KeyboardInterrupt):
+                main(["replay", "--out", str(target)])
+        assert target.read_text() == old
+        # A command that finishes replaces the whole file, however long it was.
+        assert main(["replay", "--case", "1", "--out", str(target)]) == EXIT_OK
+        report = target.read_text()
+        assert report.startswith("# ghzcc replay") and "OLD REPORT" not in report
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -425,7 +442,7 @@ def wrong_bit_on_the_wire(monkeypatch):
     def run(*args, **kwargs):
         result = real(*args, **kwargs)
         first, *rest = result.bits
-        return dataclasses.replace(result, bits=(first ^ 1, *rest))
+        return result._replace(bits=(first ^ 1, *rest))
 
     monkeypatch.setattr(protocols, "run_protocol", run)
 

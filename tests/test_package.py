@@ -122,10 +122,9 @@ def test_perfbench_pinned_counts(monkeypatch):
     # The counts perfbench/selftest.py's Smoke.test_traced pins, wrapped at the
     # same (module, attribute) bindings as perfbench/spans.py. A count here
     # moves only with ROADMAP item 1, which re-baselines the benchmark.
-    from ghzcc import bitcore, cli, lowerbound, protocols
+    from ghzcc import bitcore, cli, lowerbound, protocols, qsim
 
     calls = {}
-    sample_outcome, replay_case = protocols.sample_outcome, lowerbound.replay_case
     enumerate_promise = bitcore.enumerate_promise
 
     def counting(key, fn):
@@ -140,13 +139,20 @@ def test_perfbench_pinned_counts(monkeypatch):
             calls["triples"] = calls.get("triples", 0) + 1
             yield t
 
-    monkeypatch.setattr(protocols, "sample_outcome", counting("sample_outcome", sample_outcome))
-    monkeypatch.setattr(lowerbound, "replay_case", counting("replay_case", replay_case))
+    for module, name in ((protocols, "sample_outcome"), (lowerbound, "replay_case"),
+                         (bitcore, "random_promise_triple"), (protocols, "run_protocol"),
+                         (protocols, "audit_run")):
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     monkeypatch.setattr(bitcore, "enumerate_promise", triples)
+    demo_calls = {"random_promise_triple": 1, "sample_outcome": 32, "run_protocol": 3,
+                  "audit_run": 3}
+    hits = qsim.transformed_state.cache_info().hits
     for seed in (0, 1, 7):
         calls.clear()
         assert cli.cmd_demo(32, seed).passed
-        assert calls == {"sample_outcome": 32}, seed
+        assert calls == demo_calls, seed
+    # perfbench's transformed_state.hit_ratio, over a batch of demo requests.
+    assert qsim.transformed_state.cache_info().hits > hits
     calls.clear()
     assert cli.cmd_verify("all", 3, 0).passed
     assert calls["triples"] == sum(4**k for k in range(1, 4)) * 2 == 168

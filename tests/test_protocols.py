@@ -1,7 +1,6 @@
 """Protocol runs: correctness against direct evaluation, costs, and audits."""
 
 import ast
-import dataclasses
 import itertools
 import json
 import os
@@ -318,7 +317,7 @@ class TestAudit:
     def test_flipped_output_detected(self):
         t = PromiseTriple.from_strs("001", "001", "111")
         result = run_classical_three_bit(t)
-        corrupted = dataclasses.replace(result, output=result.output ^ 1)
+        corrupted = result._replace(output=result.output ^ 1)
         report = audit_run(corrupted)
         assert not report.passed
         assert any("output" in f for f in report.failures)
@@ -328,7 +327,7 @@ class TestAudit:
         result = run_classical_three_bit(t)
         bits = list(result.bits)
         bits[1] ^= 1
-        report = audit_run(dataclasses.replace(result, bits=tuple(bits)))
+        report = audit_run(result._replace(bits=tuple(bits)))
         assert not report.passed
         assert any("record 1" in f for f in report.failures)
 
@@ -341,21 +340,21 @@ class TestAudit:
             for i in range(cost):
                 bits = list(result.bits)
                 bits[i] ^= 1
-                report = audit_run(dataclasses.replace(result, bits=tuple(bits)))
+                report = audit_run(result._replace(bits=tuple(bits)))
                 records = [f for f in report.failures if f.startswith("record ")]
                 assert not report.passed
                 assert records and all(f.startswith(f"record {i}: ") for f in records)
-            report = audit_run(dataclasses.replace(result, output=result.output ^ 1))
+            report = audit_run(result._replace(output=result.output ^ 1))
             assert not report.passed
             assert any(f.startswith("output ") for f in report.failures)
-            report = audit_run(dataclasses.replace(result, bits=result.bits[:-1]))
+            report = audit_run(result._replace(bits=result.bits[:-1]))
             assert not report.passed
             assert f"{cost - 1} records for {cost} scheduled steps" in report.failures
 
     def test_transcript_shows_an_unscheduled_bit(self):
         result = run_classical_three_bit(PromiseTriple.from_strs("001", "001", "111"))
         assert result.transcript == "B->A:1 B->A:0 C->A:0"
-        smuggled = dataclasses.replace(result, bits=result.bits + (1,))
+        smuggled = result._replace(bits=result.bits + (1,))
         assert smuggled.cost == 4
         assert smuggled.transcript == "B->A:1 B->A:0 C->A:0 ?->A:1"
         assert "4 records for 3 scheduled steps" in audit_run(smuggled).failures
@@ -363,16 +362,14 @@ class TestAudit:
     @pytest.mark.parametrize("protocol", sorted(ALL_RUNS))
     def test_swapped_view_names_the_records_it_changes(self, protocol):
         for result in ALL_RUNS[protocol]():
-            report = audit_run(dataclasses.replace(result, view=lambda local: 0))
+            report = audit_run(result._replace(view=lambda local: 0))
             named = {int(f.split(":")[0].split()[1]) for f in report.failures}
             assert named == {i for i, bit in enumerate(result.bits) if bit}
             assert report.passed == (not any(result.bits))
 
     def test_result_without_replay_data_fails_closed(self):
-        bare = dataclasses.replace(
-            run_classical_three_bit(PromiseTriple.from_strs("1", "1", "1")),
-            output_fn=None,
-        )
+        result = run_classical_three_bit(PromiseTriple.from_strs("1", "1", "1"))
+        bare = result._replace(output_fn=None)
         assert not audit_run(bare).passed
 
 

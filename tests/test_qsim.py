@@ -1,5 +1,7 @@
 """Exact statevector behavior: amplitudes, Hadamards, supports, sampling."""
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -180,6 +182,16 @@ class TestExactRepresentation:
             apply_hadamard(state, "C")
 
 
+class FixedDraw:
+    """An rng whose random() always returns u."""
+
+    def __init__(self, u: float) -> None:
+        self.u = u
+
+    def random(self) -> float:
+        return self.u
+
+
 class TestSampling:
     def test_basis_state_is_certain(self):
         state = TripleState(tuple((2, 0) if i == 0b011 else ZERO for i in range(8)))
@@ -236,6 +248,24 @@ class TestSampling:
     def test_outcome_probability_must_be_positive(self):
         with pytest.raises(ValueError):
             Outcome((0, 0, 0), Fraction(0))
+
+    @pytest.mark.parametrize("column", LEGAL_COLUMNS)
+    def test_sampling_table_is_the_exact_cumulative_distribution(self, column):
+        # With u uniform on [0, 1), outcome i is drawn for u in
+        # [threshold[i-1], threshold[i]), so exact thresholds make the
+        # sampler's distribution exactly outcome_distribution's.
+        state = transformed_state(column)
+        outcomes = outcome_distribution(state)
+        table = state._sampling_table
+        assert [outcome for _, outcome in table] == list(outcomes)
+        exact = list(itertools.accumulate(o.probability for o in outcomes))
+        assert [Fraction(threshold) for threshold, _ in table] == exact
+        assert table[-1][0] == 1.0
+        lower = 0.0
+        for threshold, outcome in table:
+            for u in (lower, math.nextafter(threshold, 0.0)):
+                assert sample_outcome(state, FixedDraw(u)) is outcome, (column, u)
+            lower = threshold
 
     def test_equal_states_share_one_sampling_table(self, monkeypatch):
         rng = random.Random(0)
