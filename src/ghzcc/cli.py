@@ -269,7 +269,7 @@ def _verify_cases(report: Report) -> None:
             f"case_{case_id}",
             case.passed,
             tuples=len(case.tuple_checks),
-            joint_feasible=case.feasibility.joint.feasible,
+            joint_feasible=case.feasibility.feasible,
         )
     coverage = lowerbound.case_cover_check()
     report.check(
@@ -359,9 +359,9 @@ def cmd_replay(case: str | None) -> Report:
             id=result.case_id,
             header=result.header,
             tuples=[list(check) for check in result.tuple_checks],
-            apart=[list(p) for p in result.feasibility.joint.apart],
-            together=[list(p) for p in result.feasibility.joint.together],
-            joint_feasible=result.feasibility.joint.feasible,
+            apart=[list(p) for p in result.feasibility.apart],
+            together=[list(p) for p in result.feasibility.together],
+            joint_feasible=result.feasibility.feasible,
         )
         report.check(f"case_{case_id}", result.passed, failures=list(result.failures))
     if not case:

@@ -23,7 +23,6 @@ f = XOR_i (x_i AND y_i AND z_i) are bitwise, so the packing is free.
 from __future__ import annotations
 
 import itertools
-import time
 from functools import lru_cache
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -33,15 +32,11 @@ ALL3 = 7  # all-ones word of length 3
 _PERMS = tuple(itertools.permutations((0, 1, 2)))
 
 
-def _as_value(v) -> int:
-    """Accept an int 0..7 or a '010'-style string."""
-    if isinstance(v, str):
-        if len(v) != 3 or set(v) - {"0", "1"}:
-            raise ValueError(f"not a 3-bit string: {v!r}")
-        return int(v, 2)
-    if isinstance(v, int) and 0 <= v <= 7:
-        return v
-    raise ValueError(f"not a 3-bit word: {v!r}")
+def _as_value(v: str) -> int:
+    """The word of a '010'-style string."""
+    if len(v) != 3 or set(v) - {"0", "1"}:
+        raise ValueError(f"not a 3-bit string: {v!r}")
+    return int(v, 2)
 
 
 def _s(v: int) -> str:
@@ -78,27 +73,24 @@ def _side(mask: int, b: int) -> frozenset[int]:
     return frozenset(y for y in range(8) if (mask >> y) & 1 == b)
 
 
-class TogetherApartConstraints(NamedTuple):
+class CarolFeasibility(NamedTuple):
     """What a correct one-bit split of z-space is forced to do.
 
-    apart: z pairs whose answer values differ for some receiver input, so
-    they can never share a class. together: pairs forced into the same class
-    by chains of apart constraints (2 classes only). feasible: the apart
-    graph is 2-colorable.
+    candidates: each receiver input's (y, z, f) completions. apart: z pairs
+    whose answer values differ for some receiver input, so they can never
+    share a class. together: pairs forced into the same class by chains of
+    apart constraints (2 classes only). feasible: the apart graph is
+    2-colorable.
     """
 
+    candidates: Mapping[str, tuple[tuple[str, str, int], ...]]
     apart: tuple[tuple[str, str], ...]
     together: tuple[tuple[str, str], ...]
     feasible: bool
 
 
-class CarolFeasibility(NamedTuple):
-    candidates: Mapping[str, tuple[tuple[str, str, int], ...]]
-    joint: TogetherApartConstraints
-
-
-def _two_color(edges: set[tuple[int, int]]) -> TogetherApartConstraints:
-    """2-color the apart graph; derive forced together/apart pairs per component."""
+def _two_color(edges: set[tuple[int, int]]) -> tuple[tuple, tuple, bool]:
+    """2-color the apart graph: (apart, together, feasible), pairs forced per component."""
     nodes = sorted({v for e in edges for v in e})
     adj: dict[int, set[int]] = {v: set() for v in nodes}
     for u, v in edges:
@@ -131,10 +123,10 @@ def _two_color(edges: set[tuple[int, int]]) -> TogetherApartConstraints:
                 together.append((_s(u), _s(v)))
             else:
                 apart.append((_s(u), _s(v)))
-    return TogetherApartConstraints(tuple(sorted(apart)), tuple(sorted(together)), feasible)
+    return tuple(sorted(apart)), tuple(sorted(together)), feasible
 
 
-def carol_partition_feasible(xs, bob_class) -> CarolFeasibility:
+def carol_partition_feasible(xs: Sequence[str], bob_class: Iterable[str]) -> CarolFeasibility:
     """Constraints Carol's one-bit partition must satisfy, and whether any exists.
 
     For each receiver input x, the consistent completions are (y, z) with y
@@ -144,8 +136,6 @@ def carol_partition_feasible(xs, bob_class) -> CarolFeasibility:
     graph 2-coloring problem; joint feasibility merges the graphs of all
     supplied x values.
     """
-    if isinstance(xs, (int, str)):
-        xs = [xs]
     x_vals = [_as_value(x) for x in xs]
     class_vals = sorted({_as_value(y) for y in bob_class})
     candidates: dict[str, tuple[tuple[str, str, int], ...]] = {}
@@ -158,7 +148,7 @@ def carol_partition_feasible(xs, bob_class) -> CarolFeasibility:
             for (_, z1, f1), (_, z2, f2) in itertools.combinations(cands, 2)
             if f1 != f2
         }
-    return CarolFeasibility(candidates, _two_color(joint_edges))
+    return CarolFeasibility(candidates, *_two_color(joint_edges))
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +248,7 @@ def replay_case(case_id: str) -> CaseReport:
                     f"{label}: listed value {expected}, re-derived {got} (packed {packed})"
                 )
             tuple_checks.append((label, expected, got, ok))
-    if feas.joint.feasible:
+    if feas.feasible:
         failures.append("joint constraints are 2-colorable; case does not eliminate")
     return CaseReport(case_id, witness.header, tuple(tuple_checks), feas, tuple(failures))
 
@@ -443,8 +433,6 @@ class SearchResult(NamedTuple):
     name: str
     feasible: int
     candidates: int
-    elapsed_s: float
-    workers: int
     breakdown: Mapping[tuple[str, str, str], int] | None = None
 
 
@@ -457,11 +445,10 @@ def _count_protocols(
     its message may depend on that bit. The two branches constrain disjoint
     transcripts, so for a fixed first message the count is the product of
     the branches' valid-second-message counts, which the game memoises.
-    `workers` is checked and echoed only: the pass runs in this process.
+    `workers` is checked only: the pass runs in this process.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    start = time.perf_counter()
     fn_count = game.full + 1
     breakdown = {(a, b, c): 0 for a in first for b in second for c in second}
     for sp1 in first:
@@ -476,8 +463,6 @@ def _count_protocols(
         name=name,
         feasible=sum(breakdown.values()),
         candidates=len(first) * fn_count * (len(second) * fn_count) ** 2,
-        elapsed_s=time.perf_counter() - start,
-        workers=workers,
         breakdown=breakdown,
     )
 
@@ -564,7 +549,6 @@ def search_two_party_one_bit(rows: Sequence[int]) -> SearchResult:
     row into f-constant fibers, and sender A only works (with any of her
     masks) if f is already determined by her own word.
     """
-    start = time.perf_counter()
     game = _two_party_game(rows)
     if len(rows) > 16:
         raise ValueError(f"one-bit search supports length <= 4, got {len(rows)} rows")
@@ -573,8 +557,6 @@ def search_two_party_one_bit(rows: Sequence[int]) -> SearchResult:
         name="two_party_one_bit",
         feasible=sum(counts),
         candidates=2 * (game.full + 1),
-        elapsed_s=time.perf_counter() - start,
-        workers=1,
     )
 
 

@@ -9,7 +9,6 @@ audit_run can re-derive both: the information-locality contract.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
@@ -48,36 +47,7 @@ class RunResult(NamedTuple):
 
 class AuditReport(NamedTuple):
     passed: bool
-    cost: int
     failures: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
-class CountSummary:
-    """Per-party zero counts; 2k of those zeros come from the k AND-zero columns."""
-
-    r_a: int
-    r_b: int
-    r_c: int
-    k: int
-
-    def __post_init__(self) -> None:
-        _check_zero_counts(self.r_a, self.r_b, self.r_c, self.k)
-
-
-def _check_zero_counts(r_a: int, r_b: int, r_c: int, k: int) -> None:
-    if r_a + r_b + r_c != 2 * k:
-        raise InvariantViolation(f"zero counts {r_a}+{r_b}+{r_c} != 2*{k}")
-
-
-def _zero_counts(t: PromiseTriple) -> tuple[int, int, int, int]:
-    """(r_A, r_B, r_C, k): each party's zeros, and k = the number of AND-zero columns."""
-    k = t.length - (t.x.bits & t.y.bits & t.z.bits).bit_count()
-    return t.x.count_zeros(), t.y.count_zeros(), t.z.count_zeros(), k
-
-
-def count_summary(t: PromiseTriple) -> CountSummary:
-    return CountSummary(*_zero_counts(t))
 
 
 def run_protocol(
@@ -102,7 +72,7 @@ def audit_run(result: RunResult) -> AuditReport:
     """
     bits = result.bits
     if result.output_fn is None:
-        return AuditReport(False, len(bits), ("run carries no replayable steps",))
+        return AuditReport(False, ("run carries no replayable steps",))
     failures: list[str] = []
     if len(bits) != len(result.steps):
         failures.append(f"{len(bits)} records for {len(result.steps)} scheduled steps")
@@ -127,7 +97,7 @@ def audit_run(result: RunResult) -> AuditReport:
             f"output {result.output} is not reproducible from "
             f"A's local view (expected {expected_out})"
         )
-    return AuditReport(not failures, len(bits), tuple(failures))
+    return AuditReport(not failures, tuple(failures))
 
 
 def _outcome_parity(local) -> int:
@@ -195,8 +165,11 @@ def _count_schedule(width: int, carol_drops_low: bool = False) -> tuple:
 
 
 def _run_counts(t: PromiseTriple, schedule: tuple) -> RunResult:
-    # count_summary's check, without building a CountSummary on every run.
-    _check_zero_counts(*_zero_counts(t))
+    # r_A + r_B + r_C = 2k: 2k of the zeros come from the k AND-zero columns.
+    r_a, r_b, r_c = t.x.count_zeros(), t.y.count_zeros(), t.z.count_zeros()
+    k = t.length - (t.x.bits & t.y.bits & t.z.bits).bit_count()
+    if r_a + r_b + r_c != 2 * k:
+        raise InvariantViolation(f"zero counts {r_a}+{r_b}+{r_c} != 2*{k}")
     steps, alice_output = schedule
     inputs = {"A": t.x, "B": t.y, "C": t.z}
     return run_protocol(inputs, BitString.count_zeros, steps, alice_output)

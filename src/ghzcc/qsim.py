@@ -50,8 +50,17 @@ class TripleState:
 
     @cached_property
     def _sampling_table(self) -> tuple[tuple[float, Outcome], ...]:
-        """This state's table for sample_outcome, read once per object."""
-        return _cumulative(self)
+        """Cumulative outcome probabilities for sample_outcome, built on the first draw.
+
+        Exact probabilities here are dyadic (p^2/4 + q^2/8), so the float
+        cumulative sums are themselves exact.
+        """
+        acc = Fraction(0)
+        table = []
+        for outcome in outcome_distribution(self):
+            acc += outcome.probability
+            table.append((float(acc), outcome))
+        return tuple(table)
 
 
 @dataclass(frozen=True)
@@ -146,22 +155,6 @@ def outcome_distribution(state: TripleState) -> tuple[Outcome, ...]:
     if total != 1:
         raise InvariantViolation(f"outcome probabilities sum to {total}, not 1")
     return tuple(outcomes)
-
-
-@lru_cache(maxsize=None)
-def _cumulative(state: TripleState) -> tuple[tuple[float, Outcome], ...]:
-    """Cumulative outcome probabilities, built once per distinct amps.
-
-    States compare and hash by their amps, so an equal state that is newly
-    built shares the table. Exact probabilities here are dyadic
-    (p^2/4 + q^2/8), so the float cumulative sums are themselves exact.
-    """
-    acc = Fraction(0)
-    table = []
-    for outcome in outcome_distribution(state):
-        acc += outcome.probability
-        table.append((float(acc), outcome))
-    return tuple(table)
 
 
 def sample_outcome(state: TripleState, rng) -> Outcome:

@@ -8,10 +8,10 @@ agreement check, the quantum protocol's full output support, the string
 form of the bit-position permutation, and the machine renderer that walks
 every value before encoding each record with a new encoder.
 
-It also holds code that no command runs: a triple's column list, and the
-two-party parity and inner-product functions with their one-way protocols
-(one bit, and Bob's whole word), which the row tables and the engine are
-checked against.
+It also holds code that no command runs: a triple's column list and
+per-party zero counts, and the two-party parity and inner-product
+functions with their one-way protocols (one bit, and Bob's whole word),
+which the row tables and the engine are checked against.
 """
 
 from __future__ import annotations
@@ -20,12 +20,12 @@ import itertools
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, Iterable
+from typing import Any, Iterable, NamedTuple
 
 from ghzcc.bitcore import BitString, PromiseTriple, f_ghz
 from ghzcc.cli import Report
 from ghzcc.lowerbound import (
-    _SPEAKERS, _as_value, _fibers_constant, _ghz_game, _s, f3, third_word
+    _SPEAKERS, _fibers_constant, _ghz_game, _s, f3, third_word
 )
 from ghzcc.protocols import (
     RunResult, SendStep, run_classical_count, run_classical_three_bit, run_protocol,
@@ -38,6 +38,22 @@ def columns(t: PromiseTriple) -> list[tuple[int, int, int]]:
     """The columns (x_i, y_i, z_i) of t, position 1 first."""
     x, y, z = t.x.bits, t.y.bits, t.z.bits
     return [((x >> i) & 1, (y >> i) & 1, (z >> i) & 1) for i in range(t.length)]
+
+
+class CountSummary(NamedTuple):
+    """Per-party zero counts; 2k of those zeros come from the k AND-zero columns."""
+
+    r_a: int
+    r_b: int
+    r_c: int
+    k: int
+
+
+def count_summary(t: PromiseTriple) -> CountSummary:
+    """Zero counts tallied column by column, apart from the protocols' word counts."""
+    cols = columns(t)
+    r_a, r_b, r_c = (sum(1 - col[i] for col in cols) for i in range(3))
+    return CountSummary(r_a, r_b, r_c, sum(col != (1, 1, 1) for col in cols))
 
 
 def reduce_to_inner_product(t: PromiseTriple) -> tuple[BitString, BitString]:
@@ -70,7 +86,7 @@ def carol_response_count(y_class: Iterable[int]) -> int:
     """
     class_mask = 0
     for y in y_class:
-        class_mask |= 1 << _as_value(y)
+        class_mask |= 1 << y
     return _ghz_game().branch_counts((class_mask,) * 8, ("C",))[0]
 
 

