@@ -136,23 +136,31 @@ def _fault_text(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _attempt(run, *args) -> Any:
-    """The protocol run, or the fault that stopped it."""
+def _judge(t, expected: int, cost: int, run, *args) -> tuple[Any, tuple[str, ...], dict | None]:
+    """Run the protocol once and audit it once.
+
+    Returns the result (or the fault that stopped it), its audit failures (a
+    stopped run's one failure names the fault), and a witness naming t and
+    why, or None if the run outputs `expected` at `cost` bits and passes
+    audit_run.
+    """
     try:
-        return run(*args)
+        result = run(*args)
     except _FAULTS as exc:
-        return exc
-
-
-def _describe_run(report: Report, name: str, run: Any) -> list[str]:
-    """Note one run, audited once; return its audit failures."""
-    if isinstance(run, Exception):
-        report.note("run", protocol=name, error=_fault_text(run))
-        return [f"{name}: stopped by {_fault_text(run)}"]
-    audit = protocols.audit_run(run)
-    report.note("run", protocol=name, output=run.output, cost=run.cost,
-                transcript=run.transcript, audit="pass" if audit.passed else "fail")
-    return [f"{name}: {failure}" for failure in audit.failures]
+        reason = _fault_text(exc)
+        return exc, (f"stopped by {reason}",), {"triple": str(t), "transcript": None,
+                                                "reason": reason}
+    failures = protocols.audit_run(result).failures
+    if result.output != expected:
+        reason = f"output {result.output}, expected {expected}"
+    elif result.cost != cost:
+        reason = f"cost {result.cost}, expected {cost}"
+    elif failures:
+        reason = "audit: " + "; ".join(failures)
+    else:
+        return result, failures, None
+    return result, failures, {"triple": str(t), "transcript": result.transcript,
+                              "reason": reason}
 
 
 def cmd_demo(n: int, seed: int) -> Report:
@@ -165,18 +173,24 @@ def cmd_demo(n: int, seed: int) -> Report:
     direct = bitcore.f_ghz(t)
     report.note("input", x=str(t.x), y=str(t.y), z=str(t.z), direct_value=direct)
 
-    runs = {
-        "quantum_two_bit": _attempt(protocols.run_quantum_two_bit, t, rng),
-        "classical_three_bit": _attempt(protocols.run_classical_three_bit, t),
-        "classical_count": _attempt(protocols.run_classical_count, t),
-    }
-    failures = [f for name, run in runs.items() for f in _describe_run(report, name, run)]
-    # A stopped run is the exception itself: it has no output and no cost.
-    for check, run in zip(("quantum", "three_bit", "count"), runs.values()):
-        stop = {"triple": str(t), "error": _fault_text(run)} if isinstance(run, Exception) else {}
-        report.check(f"{check}_matches_direct", getattr(run, "output", None) == direct, **stop)
-    quantum, three, count = (getattr(run, "cost", None) for run in runs.values())
     width = n.bit_length()
+    runs = {
+        "quantum_two_bit": _judge(t, direct, 2, protocols.run_quantum_two_bit, t, rng),
+        "classical_three_bit": _judge(t, direct, 3, protocols.run_classical_three_bit, t),
+        "classical_count": _judge(t, direct, 2 * width, protocols.run_classical_count, t),
+    }
+    failures = []
+    for check, (name, (run, audit, _)) in zip(("quantum", "three_bit", "count"), runs.items()):
+        failures += [f"{name}: {failure}" for failure in audit]
+        # A stopped run is the exception itself: it has no output and no cost.
+        if isinstance(run, Exception):
+            report.note("run", protocol=name, error=_fault_text(run))
+            report.check(f"{check}_matches_direct", False, triple=str(t), error=_fault_text(run))
+            continue
+        report.note("run", protocol=name, output=run.output, cost=run.cost,
+                    transcript=run.transcript, audit="fail" if audit else "pass")
+        report.check(f"{check}_matches_direct", run.output == direct)
+    quantum, three, count = (getattr(run, "cost", None) for run, _, _ in runs.values())
     report.check("quantum_cost_two", quantum == 2, cost=quantum)
     report.check("three_bit_cost_three", three == 3, cost=three)
     report.check("count_cost_formula", count == 2 * width, cost=count, width=width)
@@ -188,21 +202,21 @@ def cmd_demo(n: int, seed: int) -> Report:
 def _verify_lemma1(report: Report) -> None:
     for column in bitcore.LEGAL_COLUMNS:
         label = "".join(str(b) for b in column)
-        detail: dict[str, Any] = {}
         try:
             product = qsim.check_lemma1(column)
-            support = sorted(qsim.support(qsim.transformed_state(column)))
-            ok = {b.count("1") & 1 for b in support} == {product}
+            support, error = sorted(qsim.support(qsim.transformed_state(column))), {}
         except _FAULTS as exc:
-            ok, product, support = False, -1, []
-            detail["error"] = _fault_text(exc)
-        report.check(f"lemma1_column_{label}", ok, product=product, support=support, **detail)
+            product, support, error = -1, [], {"error": _fault_text(exc)}
+        report.check(f"lemma1_column_{label}", not error, product=product, support=support,
+                     **error)
     # The 001 column must transform to the four-term state with support
     # {000, 011, 101, 110} and a minus sign only on 110.
     expected = {0b000: (1, 0), 0b011: (1, 0), 0b101: (1, 0), 0b110: (-1, 0)}
-    state = _attempt(qsim.transformed_state, (0, 0, 1))
-    error = {"error": _fault_text(state)} if isinstance(state, Exception) else {}
-    exact = not error and all(state.amps[i] == expected.get(i, (0, 0)) for i in range(8))
+    try:
+        state = qsim.transformed_state((0, 0, 1))
+        exact, error = all(state.amps[i] == expected.get(i, (0, 0)) for i in range(8)), {}
+    except _FAULTS as exc:
+        exact, error = False, {"error": _fault_text(exc)}
     report.check("lemma1_001_exact_amplitudes", exact, **error)
     involution = all(
         qsim.apply_hadamard(qsim.apply_hadamard(qsim.mermin_state(), p), p)
@@ -210,23 +224,6 @@ def _verify_lemma1(report: Report) -> None:
         for p in qsim.PARTIES
     )
     report.check("hadamard_involution", involution)
-
-
-def _fault(t, expected: int, cost: int, run, *args) -> dict | None:
-    """None if run(*args) outputs `expected` at `cost` bits and passes
-    audit_run; else a witness naming t and why."""
-    result = _attempt(run, *args)
-    if isinstance(result, Exception):
-        return {"triple": str(t), "transcript": None, "reason": _fault_text(result)}
-    if result.output != expected:
-        reason = f"output {result.output}, expected {expected}"
-    elif result.cost != cost:
-        reason = f"cost {result.cost}, expected {cost}"
-    elif not (verdict := protocols.audit_run(result)).passed:
-        reason = "audit: " + "; ".join(verdict.failures)
-    else:
-        return None
-    return {"triple": str(t), "transcript": result.transcript, "reason": reason}
 
 
 def _check(report: Report, name: str, witness: dict | None, **detail: Any) -> None:
@@ -243,7 +240,7 @@ def _verify_quantum(report: Report, n_max: int, seed: int) -> None:
         for t in bitcore.enumerate_promise(n):
             expected = bitcore.f_ghz(t)
             for _ in range(2):
-                fault = _fault(t, expected, 2, protocols.run_quantum_two_bit, t, rng)
+                fault = _judge(t, expected, 2, protocols.run_quantum_two_bit, t, rng)[2]
                 witness = witness or fault
         _check(report, f"quantum_exhaustive_n{n}", witness, triples=4**n, runs=2 * 4**n)
 
@@ -254,9 +251,9 @@ def _verify_classical(report: Report, n_max: int) -> None:
         three = count = None
         for t in bitcore.enumerate_promise(n):
             expected = bitcore.f_ghz(t)
-            fault = _fault(t, expected, 3, protocols.run_classical_three_bit, t)
+            fault = _judge(t, expected, 3, protocols.run_classical_three_bit, t)[2]
             three = three or fault
-            fault = _fault(t, expected, 2 * width, protocols.run_classical_count, t)
+            fault = _judge(t, expected, 2 * width, protocols.run_classical_count, t)[2]
             count = count or fault
         _check(report, f"classical_three_bit_n{n}", three, triples=4**n)
         _check(report, f"classical_count_n{n}", count, triples=4**n, cost=2 * width)

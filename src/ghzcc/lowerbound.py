@@ -256,7 +256,6 @@ def replay_case(case_id: str) -> CaseReport:
 class CoverageAssignment(NamedTuple):
     partition: int  # broadcast mask
     case_id: str
-    verified: bool
 
 
 class CoverageReport(NamedTuple):
@@ -267,53 +266,41 @@ class CoverageReport(NamedTuple):
 
     @property
     def passed(self) -> bool:
-        return not self.unmapped and all(a.verified for a in self.assignments)
-
-
-def _classify_partition(s0: frozenset[int]) -> tuple[str, tuple[int, int, int]] | None:
-    avoid = {0b001, 0b010, 0b011}
-    if len(s0) <= 2:
-        for perm in _PERMS:
-            if not (_permute_set(s0, perm) & avoid):
-                return "1", perm
-        return None
-    if any(v.bit_count() == 1 for v in s0):
-        for case_id, third in (("2.1.1", 0b010), ("2.1.2", 0b011),
-                               ("2.1.3", 0b110), ("2.1.4", 0b111)):
-            for perm in _PERMS:
-                if {0b000, 0b001, third} <= _permute_set(s0, perm):
-                    return case_id, perm
-        return None
-    if 0b111 not in s0:
-        return "2.2.1", _PERMS[0]
-    for perm in _PERMS:
-        if 0b011 in _permute_set(s0, perm):
-            return "2.2.2", perm
-    return None
+        return not self.unmapped
 
 
 def case_cover_check() -> CoverageReport:
     """Map all 128 normalized partitions onto the seven cases.
 
-    The symmetry action permutes the three bit positions of every word
-    simultaneously, which preserves the promise and the game value. Each
-    assignment is verified: the case's witness class must sit inside the
-    permuted image of the matching broadcast class.
+    The paper's branch order names the candidate cases for a partition: "1"
+    when class 0 has at most 2 words; else "2.1.1".."2.1.4" in order when it
+    holds a weight-1 word; else "2.2.1" or "2.2.2" as 111 lies outside or
+    inside it. The first candidate that covers the partition takes it. A case
+    covers a partition when a permutation of the three bit positions, which
+    preserves the promise and the game value, maps the case's class_members
+    into the partition's class_side class. The case classes come only from
+    CASES.
     """
+    members = {case_id: [_as_value(m) for m in w.class_members] for case_id, w in CASES.items()}
     assignments: list[CoverageAssignment] = []
     unmapped: list[int] = []
     counts: dict[str, int] = {case_id: 0 for case_id in CASES}
     for partition in range(0, 256, 2):
-        result = _classify_partition(_side(partition, 0))
-        if result is None:
+        s0 = _side(partition, 0)
+        if len(s0) <= 2:
+            candidates: Sequence[str] = ("1",)
+        elif any(v.bit_count() == 1 for v in s0):
+            candidates = ("2.1.1", "2.1.2", "2.1.3", "2.1.4")
+        else:
+            candidates = ("2.2.2",) if ALL3 in s0 else ("2.2.1",)
+        for case_id in candidates:
+            side = _side(partition, CASES[case_id].class_side)
+            if any(_permute_set(members[case_id], perm) <= side for perm in _PERMS):
+                assignments.append(CoverageAssignment(partition, case_id))
+                counts[case_id] += 1
+                break
+        else:
             unmapped.append(partition)
-            continue
-        case_id, perm = result
-        witness = CASES[case_id]
-        image = _permute_set(_side(partition, witness.class_side), perm)
-        verified = {_as_value(m) for m in witness.class_members} <= image
-        assignments.append(CoverageAssignment(partition, case_id, verified))
-        counts[case_id] += 1
     return CoverageReport(128, tuple(assignments), tuple(unmapped), counts)
 
 

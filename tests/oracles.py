@@ -5,7 +5,8 @@ computes another way: explicit candidates against the search counts, a
 per-class response count against the 2-coloring check, the two-party
 reduction behind the imported inner-product fact, a cross-protocol
 agreement check, the quantum protocol's full output support, the string
-form of the bit-position permutation, and the machine renderer that walks
+form of the bit-position permutation and a partition coverage check built on
+it, and the machine renderer that walks
 every value before encoding each record with a new encoder.
 
 It also holds code that no command runs: a triple's column list and
@@ -25,7 +26,7 @@ from typing import Any, Iterable, NamedTuple
 from ghzcc.bitcore import BitString, PromiseTriple, f_ghz
 from ghzcc.cli import Report
 from ghzcc.lowerbound import (
-    _SPEAKERS, _fibers_constant, _ghz_game, _s, f3, third_word
+    CASES, _SPEAKERS, _fibers_constant, _ghz_game, _s, _side, f3, third_word
 )
 from ghzcc.protocols import (
     RunResult, SendStep, run_classical_count, run_classical_three_bit, run_protocol,
@@ -151,6 +152,23 @@ def permute_val(v: int, perm: tuple[int, int, int]) -> int:
 
 def permute_set(values: Iterable[int], perm: tuple[int, int, int]) -> frozenset[int]:
     return frozenset(permute_val(v, perm) for v in values)
+
+
+def uncovered(coverage) -> list[int]:
+    """Partitions whose assignment in a case_cover_check report does not hold.
+
+    An assignment holds when some bit-position permutation maps its case's
+    class_members into the partition's class_side class.
+    """
+    bad = []
+    for assignment in coverage.assignments:
+        witness = CASES[assignment.case_id]
+        members = [int(m, 2) for m in witness.class_members]
+        side = _side(assignment.partition, witness.class_side)
+        if not any(permute_set(members, perm) <= side
+                   for perm in itertools.permutations(range(3))):
+            bad.append(assignment.partition)
+    return bad
 
 
 _SCALARS = (str, int, float, bool, type(None))

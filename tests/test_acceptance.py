@@ -32,7 +32,7 @@ from ghzcc.protocols import (
     run_quantum_two_bit,
 )
 from ghzcc.qsim import support, transformed_state
-from oracles import count_summary
+from oracles import count_summary, uncovered
 
 SEEDS = list(range(10))
 RANDOM_LENGTHS = range(4, 11)
@@ -155,8 +155,8 @@ def test_criterion_6_case_replay_fidelity():
         coverage = case_cover_check()
         assert coverage.total == 128
         assert not coverage.unmapped
-        assert len(coverage.assignments) == 128
-        assert all(a.verified for a in coverage.assignments)
+        assert [a.partition for a in coverage.assignments] == list(range(0, 256, 2))
+        assert uncovered(coverage) == []
         assert time.perf_counter() - start < 1.0
 
 

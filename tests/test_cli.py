@@ -461,6 +461,27 @@ def miscounting_bob(monkeypatch):
     monkeypatch.setattr(protocols, "run_protocol", run)
 
 
+def flipped_output(monkeypatch):
+    # Alice's recorded output is flipped after her decoder ran.
+    real = protocols.run_protocol
+
+    def run(*args, **kwargs):
+        result = real(*args, **kwargs)
+        return result._replace(output=result.output ^ 1)
+
+    monkeypatch.setattr(protocols, "run_protocol", run)
+
+
+def extra_bit(monkeypatch):
+    real = protocols.run_protocol
+
+    def run(*args, **kwargs):
+        result = real(*args, **kwargs)
+        return result._replace(bits=(*result.bits, 0))
+
+    monkeypatch.setattr(protocols, "run_protocol", run)
+
+
 FIRST_TRIPLE = "(x=0, y=0, z=1)"  # enumerate_promise(1) starts with column 001
 NON_BIT = "InvariantViolation: A produced a non-bit output 2"
 ODD_TOTAL = "InvariantViolation: zero-count total"
@@ -510,6 +531,51 @@ def test_wrong_bit_witness_carries_transcript_and_audit_failures(monkeypatch):
     witness = report.checks[0]["witness"]
     assert witness["transcript"].startswith("B->A:")
     assert "not reproducible from B's local view" in witness["reason"]
+
+
+def test_verify_audits_every_run_once(monkeypatch):
+    # Runs whose output is already wrong are audited too, each exactly once.
+    flipped_output(monkeypatch)
+    calls = []
+    real = protocols.audit_run
+
+    def counting(result):
+        calls.append(result)
+        return real(result)
+
+    monkeypatch.setattr(protocols, "audit_run", counting)
+    report = cmd_verify("all", 2, 0)
+    runs = 2 * (4 + 16) + 2 * (4 + 16)  # quantum: two runs per triple; classical: two protocols
+    assert len(calls) == runs
+    assert len({id(result) for result in calls}) == runs
+    witnesses = [c["witness"] for c in report.checks if "witness" in c]
+    assert len(witnesses) == 6
+    assert all(w["reason"].startswith("output ") for w in witnesses)
+
+
+@pytest.mark.parametrize(
+    "injects,reasons",
+    [
+        ((wrong_bit_on_the_wire, flipped_output),
+         {"quantum_exhaustive_n1": "output 1, expected 0",
+          "classical_three_bit_n1": "output 1, expected 0",
+          "classical_count_n1": "output 1, expected 0"}),
+        ((extra_bit,),
+         {"quantum_exhaustive_n1": "cost 3, expected 2",
+          "classical_three_bit_n1": "cost 4, expected 3",
+          "classical_count_n1": "cost 3, expected 2"}),
+    ],
+    ids=["output-before-audit", "cost-before-audit"],
+)
+def test_witness_reason_order(injects, reasons, monkeypatch):
+    # A run that fails several ways is named by its output, then its cost,
+    # then its audit.
+    for inject in injects:
+        inject(monkeypatch)
+    report = cmd_verify("all", 1, 0)
+    witnesses = {c["name"]: c["witness"] for c in report.checks if "witness" in c}
+    assert {name: w["reason"] for name, w in witnesses.items()} == reasons
+    assert all(w["triple"] == FIRST_TRIPLE for w in witnesses.values())
 
 
 @pytest.mark.parametrize(

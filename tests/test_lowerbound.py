@@ -52,6 +52,7 @@ from oracles import (
     f_parity,
     permute_set,
     permute_val,
+    uncovered,
 )
 
 # All 128 normalized broadcast partitions as masks (even: 000 in class 0).
@@ -232,7 +233,7 @@ class TestCoverage:
         assert report.total == 128
         assert report.unmapped == ()
         assert len(report.assignments) == 128
-        assert all(a.verified for a in report.assignments)
+        assert uncovered(report) == []
         assert sum(report.counts.values()) == 128
         assert report.passed
 
