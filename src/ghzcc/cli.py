@@ -53,8 +53,12 @@ class Report:
         self.schema = SCHEMA_VERSION
 
     @property
+    def failed(self) -> int:
+        return sum(1 for c in self.checks if not c["passed"])
+
+    @property
     def passed(self) -> bool:
-        return all(c["passed"] for c in self.checks)
+        return not self.failed
 
     def check(self, name: str, passed: bool, **detail: Any) -> bool:
         self.checks.append({"type": "check", "name": name, "passed": bool(passed), **detail})
@@ -64,16 +68,10 @@ class Report:
         self.info.append({"type": "info", "kind": kind, **detail})
 
 
-def _default(value: Any) -> Any:
-    """JSON form of a value the encoder has no rule for: sets sorted by str, else str."""
-    if isinstance(value, (set, frozenset)):
-        return sorted(value, key=str)
-    return str(value)
-
-
-# json.dumps(..., sort_keys=True) with that hook, no cycle check, and one C
-# encoder per process: JSONEncoder.encode builds a new one on every call.
-_json = json.JSONEncoder(sort_keys=True, check_circular=False, default=_default)
+# json.dumps(..., sort_keys=True) with no cycle check and one C encoder per
+# process: JSONEncoder.encode builds a new one on every call. A value json has
+# no rule for raises TypeError through JSONEncoder.default.
+_json = json.JSONEncoder(sort_keys=True, check_circular=False)
 _encode = (_json.encode if json.encoder.c_make_encoder is None else
            lambda record, _iterencode=json.encoder.c_make_encoder(
                None, _json.default, json.encoder.encode_basestring_ascii, _json.indent,
@@ -86,8 +84,8 @@ def render_machine(report: Report) -> str:
                 "params": report.params}]
     records += report.info
     records += report.checks
-    failed = sum(1 for c in report.checks if not c["passed"])
-    records.append({"type": "summary", "passed": report.passed,
+    failed = report.failed
+    records.append({"type": "summary", "passed": not failed,
                     "checks": len(report.checks), "failed": failed})
     # json writes a float as its repr, so this is json.dumps of the timing record.
     timing = f'{{"type": "timing", "elapsed_s": {round(report.elapsed_s, 6)!r}}}'
@@ -113,8 +111,8 @@ def render_text(report: Report) -> str:
             if k not in ("type", "name", "passed")
         )
         lines.append(f"check {entry['name']}: {status}" + (f" ({rest})" if rest else ""))
-    failed = sum(1 for c in report.checks if not c["passed"])
-    overall = "PASS" if report.passed else "FAIL"
+    failed = report.failed
+    overall = "FAIL" if failed else "PASS"
     lines.append(f"summary: {overall} ({len(report.checks)} checks, {failed} failed)")
     lines.append(f"timing: {report.elapsed_s:.3f}s")
     return "\n".join(lines) + "\n"

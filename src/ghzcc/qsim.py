@@ -49,18 +49,14 @@ class TripleState:
             )
 
     @cached_property
-    def _sampling_table(self) -> tuple[tuple[float, Outcome], ...]:
-        """Cumulative outcome probabilities for sample_outcome, built on the first draw.
+    def _slots(self) -> tuple[Outcome, ...]:
+        """Eight equally likely slots for sample_outcome, built on the first draw.
 
-        Exact probabilities here are dyadic (p^2/4 + q^2/8), so the float
-        cumulative sums are themselves exact.
+        An outcome of probability (2p^2 + q^2)/8 fills 2p^2 + q^2 slots, in
+        basis order; the norm check above makes them total exactly 8.
         """
-        acc = Fraction(0)
-        table = []
-        for outcome in outcome_distribution(self):
-            acc += outcome.probability
-            table.append((float(acc), outcome))
-        return tuple(table)
+        return tuple(o for o in outcome_distribution(self)
+                     for _ in range(int(8 * o.probability)))
 
 
 @dataclass(frozen=True)
@@ -158,10 +154,9 @@ def outcome_distribution(state: TripleState) -> tuple[Outcome, ...]:
 
 
 def sample_outcome(state: TripleState, rng) -> Outcome:
-    """Draw one joint outcome with probability = squared amplitude magnitude."""
-    u = rng.random()
-    table = state._sampling_table
-    for threshold, outcome in table:
-        if u < threshold:
-            return outcome
-    return table[-1][1]
+    """Draw one joint outcome with probability = squared amplitude magnitude.
+
+    random() is k/2**53 with k < 2**53, so 8*u is exact and below 8, and its
+    floor picks slot k exactly when k/8 <= u < (k+1)/8.
+    """
+    return state._slots[int(rng.random() * 8)]

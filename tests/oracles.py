@@ -4,7 +4,9 @@ Each function here is an independent oracle for something the package
 computes another way: explicit candidates against the search counts, a
 per-class response count against the 2-coloring check, the two-party
 reduction behind the imported inner-product fact, a cross-protocol
-agreement check, the quantum protocol's full output support, the string
+agreement check, the quantum protocol's full output support, an exact
+simulator of the whole 3n-qubit state the parties share, the float
+threshold scan that the eight-slot sampler is checked against, the string
 form of the bit-position permutation and a partition coverage check built on
 it, and the machine renderer that walks
 every value before encoding each record with a new encoder.
@@ -20,6 +22,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from typing import Any, Iterable, NamedTuple
 
@@ -32,7 +35,7 @@ from ghzcc.protocols import (
     RunResult, SendStep, run_classical_count, run_classical_three_bit, run_protocol,
     run_quantum_two_bit,
 )
-from ghzcc.qsim import Outcome, outcome_distribution, transformed_state
+from ghzcc.qsim import Outcome, TripleState, outcome_distribution, transformed_state
 
 
 def columns(t: PromiseTriple) -> list[tuple[int, int, int]]:
@@ -144,6 +147,75 @@ def quantum_output_support(t: PromiseTriple) -> set[int]:
     return {sum(map(sum, combo)) & 1 for combo in itertools.product(*per_column)}
 
 
+@lru_cache(maxsize=None)
+def _thresholds(state: TripleState) -> tuple[tuple[float, Outcome], ...]:
+    outcomes = outcome_distribution(state)
+    sums = itertools.accumulate(o.probability for o in outcomes)
+    return tuple((float(acc), o) for acc, o in zip(sums, outcomes))
+
+
+def sample_by_thresholds(state: TripleState, rng) -> Outcome:
+    """One draw by scanning float cumulative probabilities, for u = rng.random().
+
+    The first outcome whose running sum exceeds u is drawn. Every running sum
+    is a multiple of 1/8, so each float threshold is exact.
+    """
+    u = rng.random()
+    for threshold, outcome in _thresholds(state):
+        if u < threshold:
+            return outcome
+    raise ValueError(f"draw {u} lies past the last threshold of {state}")
+
+
+_MERMIN_TERMS = tuple(
+    (a, b, c, -1 if a & b & c else 1)
+    for a, b, c in itertools.product((0, 1), repeat=3) if a ^ b ^ c
+)
+
+
+def joint_state(t: PromiseTriple) -> tuple[list[int], int]:
+    """The 3n-qubit state the parties share on t, after each one's Hadamards.
+
+    Qubit i of party A is bit i of a basis index, B's is bit n + i and C's
+    bit 2n + i. Each column starts as (|001> + |010> + |100> - |111>) / 2,
+    and a party applies a Hadamard to qubit i when its input bit i is 0.
+    Returns (m, h): the amplitude at index s is m[s] / (2^n * sqrt(2)^h).
+    """
+    n = t.length
+    m = [0] * (1 << 3 * n)
+    for terms in itertools.product(_MERMIN_TERMS, repeat=n):
+        index, sign = 0, 1
+        for i, (a, b, c, term_sign) in enumerate(terms):
+            index |= a << i | b << n + i | c << 2 * n + i
+            sign *= term_sign
+        m[index] = sign
+    h = 0
+    for party, word in enumerate((t.x.bits, t.y.bits, t.z.bits)):
+        for i in range(n):
+            if word >> i & 1:
+                continue
+            bit = 1 << party * n + i
+            for s in range(len(m)):
+                if not s & bit:
+                    m[s], m[s | bit] = m[s] + m[s | bit], m[s] - m[s | bit]
+            h += 1
+    return m, h
+
+
+def joint_outcomes(t: PromiseTriple) -> dict[tuple[int, int, int], Fraction]:
+    """Every measurable (A, B, C) outcome word of t's joint state, with its probability.
+
+    Bit i of a party's outcome word is its outcome on column i.
+    """
+    m, h = joint_state(t)
+    n, norm = t.length, 4 ** t.length * 2 ** h
+    if sum(v * v for v in m) != norm:
+        raise ValueError(f"joint state of {t} is not normalized")
+    low = (1 << n) - 1
+    return {(s & low, s >> n & low, s >> 2 * n): Fraction(v * v, norm)
+            for s, v in enumerate(m) if v}
+
+
 def permute_val(v: int, perm: tuple[int, int, int]) -> int:
     """Word v with its three binary digits reordered: digit i of the result is digit perm[i]."""
     s = _s(v)
@@ -171,21 +243,13 @@ def uncovered(coverage) -> list[int]:
     return bad
 
 
-_SCALARS = (str, int, float, bool, type(None))
-
-
 def jsonable(value: Any) -> Any:
-    """value with str keys, sets as lists sorted by str, and unknown objects as str."""
-    if isinstance(value, _SCALARS):
-        return value
+    """value with str keys and tuples as lists; anything else is left to the encoder."""
     if isinstance(value, dict):
-        return {
-            str(k): v if isinstance(v, _SCALARS) else jsonable(v) for k, v in value.items()
-        }
-    if isinstance(value, (list, tuple, set, frozenset)):
-        items = sorted(value, key=str) if isinstance(value, (set, frozenset)) else value
-        return [jsonable(v) for v in items]
-    return str(value)
+        return {str(k): jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [jsonable(v) for v in value]
+    return value
 
 
 def render_machine_reference(report: Report) -> str:

@@ -179,13 +179,33 @@ def _reference_reports():
 
 
 def _odd_report():
-    report = cli.Report("demo", {"seed": 3, "tags": {"b", "a", 10}})
+    report = cli.Report("demo", {"seed": 3, "tags": ("b", "a", 10)})
     report.note("mixed", pair=(1, "x"), nested={"z": {"y": [None, 0.5]}, "a": ()},
                 text="gr\u00fc\u00dfe \u2192 \u2713", ratio=1 / 3, missing=None,
-                label=_Labelled(), cells=[frozenset({(1, 2), (0, 5)}), {_Labelled()}])
-    report.check("odd", True, value=2.5e-7, obj=_Labelled(), sets={"s": {3, 1, 2}})
+                cells=[((1, 2), (0, 5)), []])
+    report.check("odd", True, value=2.5e-7, scores={"s": [3, 1, 2]})
     report.check("failing", False)
     return report
+
+
+def _report_holding(place: str, value):
+    """A report with value in its params, a note or a check."""
+    report = cli.Report("demo", {"tags": value} if place == "params" else {})
+    if place == "note":
+        report.note("mixed", nested={"z": [value]})
+    if place == "check":
+        report.check("odd", True, obj=value)
+    return report
+
+
+# Values json has no rule for, in the places the encoder's hook used to reach.
+_NOT_JSON = [
+    ("params", {"b", "a", 10}),
+    ("note", frozenset({(1, 2), (0, 5)})),
+    ("note", _Labelled()),
+    ("check", {"s": {3, 1, 2}}),
+    ("check", _Labelled()),
+]
 
 
 class TestRenderOracle:
@@ -201,6 +221,18 @@ class TestRenderOracle:
         report = _odd_report()
         assert _keys_are_str([report.params, report.info, report.checks])
         assert render_machine(report) == render_machine_reference(report)
+
+    @pytest.mark.parametrize("place,value", _NOT_JSON)
+    def test_non_json_values_raise(self, place, value, monkeypatch):
+        report = _report_holding(place, value)
+        with pytest.raises(TypeError):
+            render_machine(report)
+        with pytest.raises(TypeError):
+            render_machine_reference(report)
+        # json's pure-Python encoder, the fallback without the C one, raises too.
+        monkeypatch.setattr(cli, "_encode", cli._json.encode)
+        with pytest.raises(TypeError):
+            render_machine(report)
 
     def test_timing_line_is_json_dumps(self):
         report = cli.Report("demo", {})

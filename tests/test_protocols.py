@@ -3,6 +3,7 @@
 import ast
 import itertools
 import json
+import math
 import os
 import random
 import subprocess
@@ -23,6 +24,8 @@ from ghzcc.bitcore import (
     random_promise_triple,
 )
 from ghzcc.protocols import (
+    _outcome_parity,
+    _quantum_output,
     audit_run,
     run_classical_count,
     run_classical_three_bit,
@@ -30,9 +33,11 @@ from ghzcc.protocols import (
 )
 from ghzcc.cli import cmd_demo
 from oracles import (
+    columns,
     count_summary,
     f_inner_product,
     f_parity,
+    joint_outcomes,
     protocol_agreement,
     quantum_output_support,
     run_ip_trivial,
@@ -98,6 +103,41 @@ class TestQuantumTwoBit:
         sampled = {p: result.inputs[p][1] for p in "ABC"}
         assert sum(map(sum, sampled.values())) & 1 == f_ghz(t)
         assert all(len(sampled[p]) == 3 for p in "ABC")
+
+
+def _dealt(word: int, n: int) -> tuple[int, ...]:
+    """A party's outcome word as the per-column bits the protocol deals it."""
+    return tuple(word >> i & 1 for i in range(n))
+
+
+class TestJointState:
+    """The quantum protocol against the whole 3n-qubit state, simulated apart from qsim."""
+
+    def test_every_joint_outcome_decodes_to_f(self):
+        checked = 0
+        for n in (1, 2, 3):
+            for t in enumerate_promise(n):
+                for a, b, c in joint_outcomes(t):
+                    received = (_outcome_parity((t.y, _dealt(b, n))),
+                                _outcome_parity((t.z, _dealt(c, n))))
+                    output = _quantum_output((t.x, _dealt(a, n)), received)
+                    assert output == f_ghz(t), (t, a, b, c)
+                    checked += 1
+        # 4^n triples of length n, each with 4^n measurable outcomes.
+        assert checked == sum(16 ** n for n in (1, 2, 3))
+
+    def test_joint_law_is_the_product_of_the_column_laws(self):
+        # The protocol draws each column from its own 3-qubit law.
+        for n in (1, 2, 3):
+            for t in enumerate_promise(n):
+                laws = [qsim.outcome_distribution(qsim.transformed_state(column))
+                        for column in columns(t)]
+                product = {}
+                for combo in itertools.product(*laws):
+                    words = tuple(sum(o.bits[p] << i for i, o in enumerate(combo))
+                                  for p in range(3))
+                    product[words] = math.prod(o.probability for o in combo)
+                assert joint_outcomes(t) == product, t
 
 
 class TestClassicalThreeBit:

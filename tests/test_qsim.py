@@ -23,9 +23,12 @@ from ghzcc.qsim import (
     support,
     transformed_state,
 )
-from oracles import basis
+from oracles import basis, sample_by_thresholds
 
 LEGAL_COLUMNS = ((0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 1, 1))
+# The shared triple and the four states a column is drawn from.
+SAMPLED_STATES = (mermin_state(), *map(transformed_state, LEGAL_COLUMNS))
+SAMPLED_IDS = ("mermin", *("".join(map(str, column)) for column in LEGAL_COLUMNS))
 
 # Amplitude pairs (p, q) mean p/2 + q/(2*sqrt(2)).
 HALF = (1, 0)
@@ -250,23 +253,24 @@ class TestSampling:
         with pytest.raises(ValueError):
             Outcome((0, 0, 0), Fraction(0))
 
-    @pytest.mark.parametrize("column", LEGAL_COLUMNS)
-    def test_sampling_table_is_the_exact_cumulative_distribution(self, column):
-        # With u uniform on [0, 1), outcome i is drawn for u in
-        # [threshold[i-1], threshold[i]), so exact thresholds make the
-        # sampler's distribution exactly outcome_distribution's.
-        state = transformed_state(column)
-        outcomes = outcome_distribution(state)
-        table = state._sampling_table
-        assert [outcome for _, outcome in table] == list(outcomes)
-        exact = list(itertools.accumulate(o.probability for o in outcomes))
-        assert [Fraction(threshold) for threshold, _ in table] == exact
-        assert table[-1][0] == 1.0
-        lower = 0.0
-        for threshold, outcome in table:
-            for u in (lower, math.nextafter(threshold, 0.0)):
-                assert sample_outcome(state, FixedDraw(u)) is outcome, (column, u)
-            lower = threshold
+    @pytest.mark.parametrize("state", SAMPLED_STATES, ids=SAMPLED_IDS)
+    def test_slot_table_is_the_exact_distribution(self, state):
+        # With u uniform on [0, 1), slot k is drawn for u in [k/8, (k+1)/8), so
+        # an outcome owning 8p slots is drawn with probability exactly p.
+        slots = state._slots
+        assert len(slots) == 8
+        runs = [(outcome, len(list(run))) for outcome, run in itertools.groupby(slots)]
+        assert runs == [(o, 8 * o.probability) for o in outcome_distribution(state)]
+        for k, outcome in enumerate(slots):
+            for u in (k / 8, math.nextafter((k + 1) / 8, 0.0)):
+                assert sample_outcome(state, FixedDraw(u)) is outcome, (k, u)
+
+    @pytest.mark.parametrize("state", SAMPLED_STATES, ids=SAMPLED_IDS)
+    def test_slots_draw_as_the_threshold_scan(self, state):
+        slot_rng, scan_rng = random.Random(17), random.Random(17)
+        for _ in range(10_000):
+            assert sample_outcome(state, slot_rng) == sample_by_thresholds(state, scan_rng)
+        assert slot_rng.getstate() == scan_rng.getstate()
 
     def test_each_state_builds_its_table_once(self, monkeypatch):
         calls = []
