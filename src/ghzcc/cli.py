@@ -4,22 +4,27 @@ Reports carry a schema version and come in two renderings: human text and a
 line-delimited JSON document. Timing is isolated in a dedicated trailing
 record so that reports with identical parameters and seeds are byte-identical
 everywhere else.
+
+A command loads only the layers it runs. `cmd_demo` and verify's lemma1,
+quantum and classical sections run in `runs`, loaded on first use with the
+protocol and quantum-simulation layers. `cmd_search`, `cmd_replay`, verify's
+cases section and the argument parser load `lowerbound`, so an in-process
+demo or verify without cases never compiles it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
-import random
 import sys
 import time
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from . import bitcore, lowerbound
+from . import bitcore
 
-# The protocol and quantum-simulation layers, imported by the first demo or
-# verify; search and replay never load them.
-protocols = qsim = None
+if TYPE_CHECKING:
+    from . import lowerbound
 
 SCHEMA_VERSION = 1
 
@@ -32,10 +37,17 @@ SEARCH_SCOPES = ("paper", "blackboard", "ip3")
 MAX_VERIFY_N = 8
 
 
-def _load_protocol_layer() -> None:
-    global protocols, qsim
-    if protocols is None:
-        from . import protocols, qsim
+@functools.cache
+def _runs():
+    """The run checker (`runs`), imported by the first demo or verify.
+
+    Search and replay never load it, nor the protocol and quantum-simulation
+    layers it imports. A cached call costs less per demo request than an
+    import statement.
+    """
+    from . import runs
+
+    return runs
 
 
 class Report:
@@ -126,138 +138,18 @@ def _compact(value: Any) -> str:
     return str(value)
 
 
-# A law of the package failing at run time: the check it hits fails and names it.
-_FAULTS = (bitcore.InvariantViolation, bitcore.ExactnessError)
-
-
-def _fault_text(exc: Exception) -> str:
-    return f"{type(exc).__name__}: {exc}"
-
-
-def _judge(t, expected: int, cost: int, run, *args) -> tuple[Any, tuple[str, ...], dict | None]:
-    """Run the protocol once and audit it once.
-
-    Returns the result (or the fault that stopped it), its audit failures (a
-    stopped run's one failure names the fault), and a witness naming t and
-    why, or None if the run outputs `expected` at `cost` bits and passes
-    audit_run.
-    """
-    try:
-        result = run(*args)
-    except _FAULTS as exc:
-        reason = _fault_text(exc)
-        return exc, (f"stopped by {reason}",), {"triple": str(t), "transcript": None,
-                                                "reason": reason}
-    failures = protocols.audit_run(result).failures
-    if result.output != expected:
-        reason = f"output {result.output}, expected {expected}"
-    elif result.cost != cost:
-        reason = f"cost {result.cost}, expected {cost}"
-    elif failures:
-        reason = "audit: " + "; ".join(failures)
-    else:
-        return result, failures, None
-    return result, failures, {"triple": str(t), "transcript": result.transcript,
-                              "reason": reason}
-
-
 def cmd_demo(n: int, seed: int) -> Report:
     """Random promise triple through all three protocols, transcripts shown."""
     start = time.perf_counter()
-    _load_protocol_layer()
     report = Report("demo", {"n": n, "seed": seed})
-    rng = random.Random(seed)
-    t = bitcore.random_promise_triple(n, rng)
-    direct = bitcore.f_ghz(t)
-    report.note("input", x=str(t.x), y=str(t.y), z=str(t.z), direct_value=direct)
-
-    width = n.bit_length()
-    runs = {
-        "quantum_two_bit": _judge(t, direct, 2, protocols.run_quantum_two_bit, t, rng),
-        "classical_three_bit": _judge(t, direct, 3, protocols.run_classical_three_bit, t),
-        "classical_count": _judge(t, direct, 2 * width, protocols.run_classical_count, t),
-    }
-    failures = []
-    for check, (name, (run, audit, _)) in zip(("quantum", "three_bit", "count"), runs.items()):
-        failures += [f"{name}: {failure}" for failure in audit]
-        # A stopped run is the exception itself: it has no output and no cost.
-        if isinstance(run, Exception):
-            report.note("run", protocol=name, error=_fault_text(run))
-            report.check(f"{check}_matches_direct", False, triple=str(t), error=_fault_text(run))
-            continue
-        report.note("run", protocol=name, output=run.output, cost=run.cost,
-                    transcript=run.transcript, audit="fail" if audit else "pass")
-        report.check(f"{check}_matches_direct", run.output == direct)
-    quantum, three, count = (getattr(run, "cost", None) for run, _, _ in runs.values())
-    report.check("quantum_cost_two", quantum == 2, cost=quantum)
-    report.check("three_bit_cost_three", three == 3, cost=three)
-    report.check("count_cost_formula", count == 2 * width, cost=count, width=width)
-    _check(report, "audits_pass", failures or None)
+    _runs().demo(report, n, seed)
     report.elapsed_s = time.perf_counter() - start
     return report
 
 
-def _verify_lemma1(report: Report) -> None:
-    for column in bitcore.LEGAL_COLUMNS:
-        label = "".join(str(b) for b in column)
-        try:
-            product = qsim.check_lemma1(column)
-            support, error = sorted(qsim.support(qsim.transformed_state(column))), {}
-        except _FAULTS as exc:
-            product, support, error = -1, [], {"error": _fault_text(exc)}
-        report.check(f"lemma1_column_{label}", not error, product=product, support=support,
-                     **error)
-    # The 001 column must transform to the four-term state with support
-    # {000, 011, 101, 110} and a minus sign only on 110.
-    expected = {0b000: (1, 0), 0b011: (1, 0), 0b101: (1, 0), 0b110: (-1, 0)}
-    try:
-        state = qsim.transformed_state((0, 0, 1))
-        exact, error = all(state.amps[i] == expected.get(i, (0, 0)) for i in range(8)), {}
-    except _FAULTS as exc:
-        exact, error = False, {"error": _fault_text(exc)}
-    report.check("lemma1_001_exact_amplitudes", exact, **error)
-    involution = all(
-        qsim.apply_hadamard(qsim.apply_hadamard(qsim.mermin_state(), p), p)
-        == qsim.mermin_state()
-        for p in qsim.PARTIES
-    )
-    report.check("hadamard_involution", involution)
-
-
-def _check(report: Report, name: str, witness: dict | None, **detail: Any) -> None:
-    """A check over many runs: it fails with the first failing run as witness."""
-    if witness:
-        detail["witness"] = witness
-    report.check(name, witness is None, **detail)
-
-
-def _verify_quantum(report: Report, n_max: int, seed: int) -> None:
-    rng = random.Random(seed)
-    for n in range(1, n_max + 1):
-        witness = None
-        for t in bitcore.enumerate_promise(n):
-            expected = bitcore.f_ghz(t)
-            for _ in range(2):
-                fault = _judge(t, expected, 2, protocols.run_quantum_two_bit, t, rng)[2]
-                witness = witness or fault
-        _check(report, f"quantum_exhaustive_n{n}", witness, triples=4**n, runs=2 * 4**n)
-
-
-def _verify_classical(report: Report, n_max: int) -> None:
-    for n in range(1, n_max + 1):
-        width = n.bit_length()
-        three = count = None
-        for t in bitcore.enumerate_promise(n):
-            expected = bitcore.f_ghz(t)
-            fault = _judge(t, expected, 3, protocols.run_classical_three_bit, t)[2]
-            three = three or fault
-            fault = _judge(t, expected, 2 * width, protocols.run_classical_count, t)[2]
-            count = count or fault
-        _check(report, f"classical_three_bit_n{n}", three, triples=4**n)
-        _check(report, f"classical_count_n{n}", count, triples=4**n, cost=2 * width)
-
-
 def _verify_cases(report: Report) -> None:
+    from . import lowerbound
+
     for case_id in sorted(lowerbound.CASES):
         case = lowerbound.replay_case(case_id)
         report.check(
@@ -278,16 +170,23 @@ def _verify_cases(report: Report) -> None:
 
 
 def cmd_verify(scope: str, n: int, seed: int) -> Report:
-    """Exhaustive checks for the chosen scope; any failure flips the exit code."""
+    """Exhaustive checks for the chosen scope; any failure flips the exit code.
+
+    An unknown scope, or n outside 1..MAX_VERIFY_N, raises ValueError before
+    any check runs.
+    """
+    if scope not in VERIFY_SCOPES:
+        raise ValueError(f"unknown verify scope {scope!r}; know {list(VERIFY_SCOPES)}")
+    if not 1 <= n <= MAX_VERIFY_N:
+        raise ValueError(f"verify n must be in 1..{MAX_VERIFY_N}, got {n}")
     start = time.perf_counter()
-    _load_protocol_layer()
     report = Report("verify", {"scope": scope, "n": n, "seed": seed})
     if scope in ("lemma1", "all"):
-        _verify_lemma1(report)
+        _runs().verify_lemma1(report)
     if scope in ("quantum", "all"):
-        _verify_quantum(report, n, seed)
+        _runs().verify_quantum(report, n, seed)
     if scope in ("classical", "all"):
-        _verify_classical(report, n)
+        _runs().verify_classical(report, n)
     if scope in ("cases", "all"):
         _verify_cases(report)
     report.elapsed_s = time.perf_counter() - start
@@ -307,7 +206,14 @@ def _search_zero(report: Report, result: lowerbound.SearchResult, check: str, **
 
 
 def cmd_search(scope: str, workers: int, seed: int) -> Report:
-    """Run the selected lower-bound search and report the feasible count."""
+    """Run the selected lower-bound search and report the feasible count.
+
+    An unknown scope raises ValueError before any search runs.
+    """
+    if scope not in SEARCH_SCOPES:
+        raise ValueError(f"unknown search scope {scope!r}; know {list(SEARCH_SCOPES)}")
+    from . import lowerbound
+
     start = time.perf_counter()
     report = Report("search", {"scope": scope, "workers": workers, "seed": seed})
     if scope == "paper":
@@ -344,6 +250,8 @@ def cmd_search(scope: str, workers: int, seed: int) -> Report:
 
 def cmd_replay(case: str | None) -> Report:
     """Replay one elimination case, or all seven plus the coverage check."""
+    from . import lowerbound
+
     start = time.perf_counter()
     report = Report("replay", {"case": case or "all", "seed": 0})
     ids = [case] if case else sorted(lowerbound.CASES)
@@ -372,6 +280,10 @@ def cmd_replay(case: str | None) -> Report:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # replay --case takes its choices from the cases, so every CLI process
+    # loads lowerbound; an in-process demo or verify does not.
+    from . import lowerbound
+
     parser = argparse.ArgumentParser(
         prog="ghzcc",
         description=(

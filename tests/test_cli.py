@@ -24,6 +24,7 @@ from ghzcc.cli import (
     render_machine,
     render_text,
 )
+from ghzcc.lowerbound import CASES
 from oracles import render_machine_reference
 
 
@@ -81,6 +82,16 @@ class TestVerify:
         assert report.passed
         assert len(report.checks) > 10
 
+    @pytest.mark.parametrize(
+        "scope, n",
+        [("qauntum", 3), ("lemma1", 99), ("lemma1", 0), ("classical", 0), ("cases", -1)],
+    )
+    def test_bad_scope_or_length_raises_before_any_check(self, scope, n, monkeypatch):
+        # main's choices and range check do not guard an in-process caller.
+        monkeypatch.setattr(cli, "Report", lambda *args: pytest.fail("command ran"))
+        with pytest.raises(ValueError, match=repr(scope) if n == 3 else f"got {n}"):
+            cmd_verify(scope, n, 0)
+
 
 class TestSearch:
     def test_paper_scope(self):
@@ -102,6 +113,11 @@ class TestSearch:
         names = {c["name"] for c in report.checks}
         assert "alice_first_zero_feasible" in names
         assert "relay_b_then_c_zero_feasible" in names
+
+    def test_unknown_scope_raises_before_any_search(self, monkeypatch):
+        monkeypatch.setattr(cli, "Report", lambda *args: pytest.fail("command ran"))
+        with pytest.raises(ValueError, match="'blackbord'"):
+            cmd_search("blackbord", 1, 0)
 
 
 class TestReplay:
@@ -285,6 +301,17 @@ class TestMainEntry:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == EXIT_USAGE
+
+    @pytest.mark.parametrize("command", [[], ["demo"], ["verify"], ["search"], ["replay"]])
+    def test_help_exits_0(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--help"])
+        assert exc.value.code == EXIT_OK
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: {' '.join(['ghzcc', *command])} ")
+        if command == ["replay"]:
+            assert len(CASES) == 7
+            assert "--case {" + ",".join(sorted(CASES)) + "}" in out
 
     def test_unwritable_out_is_a_usage_error(self, tmp_path, monkeypatch, capsys):
         # The path is checked before the command runs, so the command never starts.

@@ -37,7 +37,8 @@ EXPORTS = {
 }
 
 # The layers that search and replay must never load.
-HEAVY = ("ghzcc.protocols", "ghzcc.qsim", "dataclasses")
+HEAVY = ("ghzcc.protocols", "ghzcc.qsim", "dataclasses", "ghzcc.runs")
+WATCHED = (*HEAVY, "ghzcc.lowerbound")
 LIGHT_COMMANDS = (
     ["search", "--scope", "paper"],
     ["search", "--scope", "blackboard"],
@@ -45,38 +46,85 @@ LIGHT_COMMANDS = (
     ["replay"],
 )
 
-# A fresh interpreter without site (-S), so nothing but this script imports:
-# it records which HEAVY modules are loaded after each step, cumulatively.
-ISOLATION_CHILD = f"""
+# A fresh interpreter without site (-S), so nothing but this script imports.
+# It runs each step, an expression over `cli`, and records the step's value
+# and which WATCHED modules are loaded after it, cumulatively.
+ISOLATION_CHILD = """
 import contextlib, io, json, sys
-def heavy():
-    return [m for m in {HEAVY!r} if m in sys.modules]
+steps = json.loads(sys.argv[1])
+def watched():
+    return [m for m in {watched!r} if m in sys.modules]
 import ghzcc
-seen = {{"import ghzcc": [0, heavy()]}}
+seen = {{"import ghzcc": [0, watched()]}}
 from ghzcc import cli
-for argv in {list(LIGHT_COMMANDS)!r}:
+seen["import ghzcc.cli"] = [0, watched()]
+for step in steps:
     with contextlib.redirect_stdout(io.StringIO()):
-        code = cli.main(argv + ["--format", "machine"])
-    seen[" ".join(argv)] = [code, heavy()]
+        value = eval(step)
+    seen[step] = [value, watched()]
 print(json.dumps(seen))
-"""
+""".format(watched=WATCHED)
 
 
-@pytest.fixture(scope="module")
-def isolation():
+def isolated(steps: list[str]) -> dict[str, list]:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
-        [sys.executable, "-S", "-c", ISOLATION_CHILD], capture_output=True, text=True, env=env
+        [sys.executable, "-S", "-c", ISOLATION_CHILD, json.dumps(steps)],
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
 
 
-@pytest.mark.parametrize("step", ["import ghzcc", *(" ".join(a) for a in LIGHT_COMMANDS)])
+def main_step(argv: list[str]) -> str:
+    return f"cli.main({argv + ['--format', 'machine']!r})"
+
+
+@pytest.fixture(scope="module")
+def isolation():
+    return isolated([main_step(argv) for argv in LIGHT_COMMANDS])
+
+
+@pytest.mark.parametrize(
+    "step",
+    ["import ghzcc", *map(main_step, LIGHT_COMMANDS)],
+    ids=["import ghzcc", *(" ".join(a) for a in LIGHT_COMMANDS)],
+)
 def test_search_and_replay_load_no_protocol_layer(isolation, step):
     code, loaded = isolation[step]
     assert code == 0
-    assert loaded == []
+    assert [m for m in loaded if m in HEAVY] == []
+
+
+# In-process runs, in order: none before the cases section may load lowerbound.
+RUN_STEPS = [
+    "cli.cmd_demo(32, 0).passed",
+    *(f"cli.cmd_verify({scope!r}, 2, 0).passed" for scope in ("lemma1", "quantum", "classical")),
+    "cli.cmd_verify('cases', 2, 0).passed",
+]
+ALL_STEP = "cli.cmd_verify('all', 2, 0).passed"
+
+
+@pytest.fixture(scope="module")
+def run_isolation():
+    return isolated(RUN_STEPS), isolated([ALL_STEP])
+
+
+def test_demo_and_verify_without_cases_load_no_lowerbound(run_isolation):
+    seen, _ = run_isolation
+    assert seen["import ghzcc.cli"][1] == []
+    assert {"ghzcc.protocols", "ghzcc.qsim", "ghzcc.runs"} <= set(seen[RUN_STEPS[0]][1])
+    for step in RUN_STEPS[:-1]:
+        passed, loaded = seen[step]
+        assert passed is True, step
+        assert "ghzcc.lowerbound" not in loaded, step
+
+
+def test_cases_and_all_load_lowerbound(run_isolation):
+    seen, alone = run_isolation
+    for passed, loaded in (seen[RUN_STEPS[-1]], alone[ALL_STEP]):
+        assert passed is True
+        assert "ghzcc.lowerbound" in loaded
 
 
 def test_every_export_resolves_to_its_module_attribute():

@@ -209,13 +209,11 @@ class TestSampling:
 
     def test_seed_determinism(self):
         state = transformed_state((0, 0, 1))
-        first = [basis(sample_outcome(state, random.Random(42))) for _ in range(1)]
         runs = [
             [basis(sample_outcome(state, rng)) for _ in range(200)]
             for rng in (random.Random(9), random.Random(9))
         ]
         assert runs[0] == runs[1]
-        assert first  # smoke: at least one draw happened
 
     def test_outcomes_stay_in_support(self):
         rng = random.Random(5)
