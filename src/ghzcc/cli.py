@@ -138,8 +138,18 @@ def _compact(value: Any) -> str:
     return str(value)
 
 
+def _check_seed(seed: int) -> None:
+    # random.Random(-s) replays seed s, so a negative seed would head s's report.
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+
+
 def cmd_demo(n: int, seed: int) -> Report:
-    """Random promise triple through all three protocols, transcripts shown."""
+    """Random promise triple through all three protocols, transcripts shown.
+
+    A negative seed raises ValueError before any run.
+    """
+    _check_seed(seed)
     start = time.perf_counter()
     report = Report("demo", {"n": n, "seed": seed})
     _runs().demo(report, n, seed)
@@ -172,13 +182,14 @@ def _verify_cases(report: Report) -> None:
 def cmd_verify(scope: str, n: int, seed: int) -> Report:
     """Exhaustive checks for the chosen scope; any failure flips the exit code.
 
-    An unknown scope, or n outside 1..MAX_VERIFY_N, raises ValueError before
-    any check runs.
+    An unknown scope, n outside 1..MAX_VERIFY_N or a negative seed raises
+    ValueError before any check runs.
     """
     if scope not in VERIFY_SCOPES:
         raise ValueError(f"unknown verify scope {scope!r}; know {list(VERIFY_SCOPES)}")
     if not 1 <= n <= MAX_VERIFY_N:
         raise ValueError(f"verify n must be in 1..{MAX_VERIFY_N}, got {n}")
+    _check_seed(seed)
     start = time.perf_counter()
     report = Report("verify", {"scope": scope, "n": n, "seed": seed})
     if scope in ("lemma1", "all"):
@@ -208,10 +219,12 @@ def _search_zero(report: Report, result: lowerbound.SearchResult, check: str, **
 def cmd_search(scope: str, workers: int, seed: int) -> Report:
     """Run the selected lower-bound search and report the feasible count.
 
-    An unknown scope raises ValueError before any search runs.
+    An unknown scope or a negative seed raises ValueError before any search
+    runs.
     """
     if scope not in SEARCH_SCOPES:
         raise ValueError(f"unknown search scope {scope!r}; know {list(SEARCH_SCOPES)}")
+    _check_seed(seed)
     from . import lowerbound
 
     start = time.perf_counter()

@@ -9,11 +9,12 @@ Two independent routes to the same fact:
   broadcast partitions onto those cases under bit-position symmetry;
 
 * exhaustive searches over the deterministic protocol spaces (broadcast +
-  response, full adaptive two-bit blackboard, and the two-party spaces for
-  the imported inner-product/parity facts), all counted by one in-process
-  engine whose valid-message bitmaps have a closed form, so the whole
-  space is decided exactly at desk scale; a direct fiber loop is the
-  independent oracle.
+  response, full adaptive two-bit blackboard, its Carol-free slice, which
+  is the two-party inner product because f = x.y on the promise, and the
+  one-bit two-party space for the imported parity fact), all counted by
+  one in-process engine whose valid-message bitmaps have a closed form, so
+  the whole space is decided exactly at desk scale; a direct fiber loop is
+  the independent oracle.
 
 Length-3 words are handled as ints 0..7 whose binary digits read position 1
 first ("011" <-> 3); the constraint z = x XOR y XOR 111 and the target
@@ -26,7 +27,7 @@ import itertools
 from functools import lru_cache
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .bitcore import PromiseTriple, _two_party_rows, f_ghz, inner_product_table
+from .bitcore import PromiseTriple, _two_party_rows, f_ghz
 
 ALL3 = 7  # all-ones word of length 3
 _PERMS = tuple(itertools.permutations((0, 1, 2)))
@@ -353,11 +354,9 @@ class _Game:
         self.rows = rows
         self.pulls = pulls
         self.full = full
-        self.memo: dict = {}
 
-    def class_masks(self, speaker: str, fn_mask: int, bit: int) -> tuple[int, ...]:
-        """Per-x y-subsets consistent with `speaker` writing `bit` via fn_mask."""
-        mask = fn_mask if bit else ~fn_mask & self.full
+    def class_masks(self, speaker: str, mask: int) -> tuple[int, ...]:
+        """Per-x y-subsets on which `speaker` writes 1 under `mask`."""
         pull = self.pulls[speaker]
         if pull is None:
             return tuple(self.full if (mask >> x) & 1 else 0 for x in range(len(self.rows)))
@@ -376,15 +375,12 @@ class _Game:
         """Valid second-message counts per speaker, given per-x consistent sets."""
         counts = []
         for speaker in speakers:
-            count = self.memo.get((speaker, ys))
-            if count is None:
-                bitmap = -1
-                for x, s in enumerate(ys):
-                    bitmap &= self.valid_bitmap(speaker, x, s)
-                    if not bitmap:
-                        break
-                count = self.memo[speaker, ys] = bitmap.bit_count()
-            counts.append(count)
+            bitmap = -1
+            for x, s in enumerate(ys):
+                bitmap &= self.valid_bitmap(speaker, x, s)
+                if not bitmap:
+                    break
+            counts.append(bitmap.bit_count())
         return tuple(counts)
 
 
@@ -431,18 +427,19 @@ def _count_protocols(
     A `first` speaker writes bit one; the second writer (from `second`) and
     its message may depend on that bit. The two branches constrain disjoint
     transcripts, so for a fixed first message the count is the product of
-    the branches' valid-second-message counts, which the game memoises.
+    the branches' valid-second-message counts. The bit-0 branch of mask m is
+    the bit-1 branch of m ^ full, so each branch is counted once.
     `workers` is checked only: the pass runs in this process.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    fn_count = game.full + 1
+    full = game.full
+    fn_count = full + 1
     breakdown = {(a, b, c): 0 for a in first for b in second for c in second}
     for sp1 in first:
-        for m1 in range(fn_count):
-            counts0 = game.branch_counts(game.class_masks(sp1, m1, 0), second)
-            counts1 = game.branch_counts(game.class_masks(sp1, m1, 1), second)
-            for sp2_0, n0 in zip(second, counts0):
+        counts = [game.branch_counts(game.class_masks(sp1, m), second) for m in range(fn_count)]
+        for m1, counts1 in enumerate(counts):
+            for sp2_0, n0 in zip(second, counts[m1 ^ full]):
                 if n0:
                     for sp2_1, n1 in zip(second, counts1):
                         breakdown[sp1, sp2_0, sp2_1] += n0 * n1
@@ -481,6 +478,16 @@ def search_blackboard_two_bit(workers: int = 1) -> SearchResult:
     return _count_protocols("blackboard_two_bit", _ghz_game(), _SPEAKERS, _SPEAKERS, workers)
 
 
+def search_two_party_ip3(workers: int = 1) -> SearchResult:
+    """Two-bit search for the length-3 inner product (expected count: 0).
+
+    On the promise z = x ^ y ^ 111, so f = x.y: a two-party protocol for the
+    inner product is a GHZ-game protocol in which Carol never writes, and
+    this count is the Carol-free slice of the blackboard count.
+    """
+    return _count_protocols("two_party_ip3", _ghz_game(), ("A", "B"), ("A", "B"), workers)
+
+
 def _fibers_constant(size: int, value, transcript) -> bool:
     """Is value(x, y) constant on every (x, transcript(x, y)) fiber?
 
@@ -512,21 +519,8 @@ def three_bit_messages_feasible() -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Two-party searches (the imported inner-product and parity facts)
+# Two-party checks (the imported parity and inner-product facts)
 # ---------------------------------------------------------------------------
-
-
-def search_two_party_two_bit(rows: Sequence[int], workers: int = 1) -> SearchResult:
-    """Count correct adaptive two-bit two-party protocols for f given as row masks.
-
-    Either party may send either bit; the second sender and function may
-    depend on the first bit; the receiver (who holds the first word) must
-    end up with f constant on every (input, transcript) fiber.
-    """
-    game = _two_party_game(rows)
-    if len(rows) > 8:
-        raise ValueError(f"two-bit search supports length <= 3, got {len(rows)} rows")
-    return _count_protocols("two_party_two_bit", game, ("A", "B"), ("A", "B"), workers)
 
 
 def search_two_party_one_bit(rows: Sequence[int]) -> SearchResult:
@@ -551,9 +545,3 @@ def send_all_bits_feasible(rows: Sequence[int]) -> bool:
     """Fiber check for the n-bit protocol where B sends his whole word."""
     rows = _two_party_game(rows).rows
     return _fibers_constant(len(rows), lambda x, y: (rows[x] >> y) & 1, lambda x, y: y)
-
-
-def search_two_party_ip3(workers: int = 1) -> SearchResult:
-    """Two-bit search for the length-3 inner product (expected count: 0)."""
-    result = search_two_party_two_bit(inner_product_table(3), workers=workers)
-    return result._replace(name="two_party_ip3")

@@ -2,7 +2,8 @@
 
 Each function here is an independent oracle for something the package
 computes another way: explicit candidates against the search counts, a
-per-class response count against the 2-coloring check, the two-party
+per-class response count against the 2-coloring check, a two-bit count
+that evaluates both branches of every first message apart, the two-party
 reduction behind the imported inner-product fact, a cross-protocol
 agreement check, the quantum protocol's full output support, an exact
 simulator of the whole 3n-qubit state the parties share, the float
@@ -92,6 +93,25 @@ def carol_response_count(y_class: Iterable[int]) -> int:
     for y in y_class:
         class_mask |= 1 << y
     return _ghz_game().branch_counts((class_mask,) * 8, ("C",))[0]
+
+
+def two_branch_breakdown(game, first, second) -> dict[tuple[str, str, str], int]:
+    """Correct two-bit protocols per (first, second if 0, second if 1) pattern.
+
+    The reference for the engine's branch-once count: each first message's
+    two branches are counted apart, with no count shared between messages,
+    and the bit-0 branch is the complement of the bit-1 branch in y-space.
+    """
+    breakdown = {(a, b, c): 0 for a in first for b in second for c in second}
+    for sp1 in first:
+        for m1 in range(game.full + 1):
+            ones = game.class_masks(sp1, m1)
+            counts0 = game.branch_counts(tuple(s ^ game.full for s in ones), second)
+            counts1 = game.branch_counts(ones, second)
+            for sp2_0, n0 in zip(second, counts0):
+                for sp2_1, n1 in zip(second, counts1):
+                    breakdown[sp1, sp2_0, sp2_1] += n0 * n1
+    return breakdown
 
 
 @dataclass(frozen=True)

@@ -120,6 +120,19 @@ class TestSearch:
             cmd_search("blackbord", 1, 0)
 
 
+@pytest.mark.parametrize(
+    "command, args",
+    [(cmd_demo, (5, -5)), (cmd_verify, ("quantum", 2, -3)), (cmd_search, ("paper", 1, -1))],
+    ids=["demo", "verify", "search"],
+)
+def test_negative_seed_raises_before_any_work(command, args, monkeypatch):
+    # main rejects --seed < 0, but an in-process caller skips main, and
+    # random.Random(-5) would print seed 5's report under a "seed -5" header.
+    monkeypatch.setattr(cli, "Report", lambda *a: pytest.fail("command ran"))
+    with pytest.raises(ValueError, match=f"seed must be >= 0, got {args[-1]}"):
+        command(*args)
+
+
 class TestReplay:
     def test_all_cases(self):
         report = cmd_replay(None)

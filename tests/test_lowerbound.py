@@ -27,9 +27,12 @@ from ghzcc.lowerbound import (
     _PERMUTED,
     CASES,
     _as_value,
+    _count_protocols,
+    _ghz_game,
     _s,
     _side,
     _three_bit_transcript,
+    _two_party_game,
     carol_partition_feasible,
     case_cover_check,
     f3,
@@ -38,7 +41,6 @@ from ghzcc.lowerbound import (
     search_bob_broadcast_carol,
     search_two_party_ip3,
     search_two_party_one_bit,
-    search_two_party_two_bit,
     send_all_bits_feasible,
     third_word,
     three_bit_messages_feasible,
@@ -52,6 +54,7 @@ from oracles import (
     f_parity,
     permute_set,
     permute_val,
+    two_branch_breakdown,
     uncovered,
 )
 
@@ -335,6 +338,15 @@ class TestBlackboardSearch:
         counts = {search_blackboard_two_bit(workers=w).feasible for w in (1, 2, 5)}
         assert counts == {0}
 
+    @pytest.mark.parametrize(
+        "search, first, second",
+        [(search_bob_broadcast_carol, "B", "C"), (search_blackboard_two_bit, "ABC", "ABC"),
+         (search_two_party_ip3, "AB", "AB")],
+        ids=["paper", "blackboard", "ip3"],
+    )
+    def test_breakdown_matches_two_branch_oracle(self, search, first, second):
+        assert search().breakdown == two_branch_breakdown(_ghz_game(), first, second)
+
     def test_random_candidates_are_individually_infeasible(self):
         rng = random.Random(31)
         for _ in range(400):
@@ -356,8 +368,6 @@ class TestBlackboardSearch:
         # The search multiplies per-branch valid-second-message counts, which
         # are usually nonzero even though the products always vanish. Check a
         # sample of branches against a naive loop with no bitmap tables.
-        from ghzcc.lowerbound import _ghz_game
-
         game = _ghz_game()
         rng = random.Random(17)
         branch_totals = []
@@ -365,7 +375,7 @@ class TestBlackboardSearch:
             sp1 = rng.choice("ABC")
             m1 = rng.randrange(256)
             b = rng.randrange(2)
-            ys = game.class_masks(sp1, m1, b)
+            ys = game.class_masks(sp1, m1 if b else m1 ^ 255)
             packed = game.branch_counts(ys, ("A", "B", "C"))
             naive = _naive_second_counts(sp1, m1, b)
             assert packed == naive, (sp1, m1, b)
@@ -407,6 +417,20 @@ class TestTwoPartySearches:
         assert result.feasible == 0
         assert result.candidates == 512 * 512 * 512
 
+    def test_ip3_is_the_carol_free_blackboard_slice(self):
+        # On the promise f = x.y, so the two-party inner-product game is the
+        # GHZ game as Alice sees it, and ip3 protocols are those where Carol
+        # never writes.
+        assert _two_party_game(inner_product_table(3)).rows == _ghz_game().rows
+        ip3 = search_two_party_ip3()
+        carol_free = {k: v for k, v in search_blackboard_two_bit().breakdown.items()
+                      if "C" not in k}
+        assert len(carol_free) == 8
+        assert ip3.breakdown == carol_free
+        two_party = _two_party_two_bit(inner_product_table(3))
+        assert two_party.breakdown == carol_free
+        assert ip3.candidates == two_party.candidates == 2 * 256 * (2 * 256) ** 2 == 2**27
+
     def test_ip3_three_bit_exists(self):
         assert send_all_bits_feasible(inner_product_table(3))
 
@@ -423,20 +447,30 @@ class TestTwoPartySearches:
         # Parity on 2-bit words is solvable with two bits, so the counts are
         # positive and the product decomposition is exercised for real.
         rows = parity_table(2)
-        fast = search_two_party_two_bit(rows).feasible
+        fast = _two_party_two_bit(rows).feasible
         assert fast == _brute_force_two_party_two_bit(rows)
         assert fast > 0
 
     def test_factorized_count_matches_brute_force_n1(self):
         for rows in (parity_table(1), inner_product_table(1)):
-            assert (
-                search_two_party_two_bit(rows).feasible
-                == _brute_force_two_party_two_bit(rows)
-            )
+            assert _two_party_two_bit(rows).feasible == _brute_force_two_party_two_bit(rows)
+
+    @pytest.mark.parametrize(
+        "make_rows, n, total",
+        [(parity_table, 1, 200), (parity_table, 2, 3640), (parity_table, 3, 992248),
+         (inner_product_table, 1, 224), (inner_product_table, 2, 384),
+         (inner_product_table, 3, 0)],
+        ids=["parity1", "parity2", "parity3", "ip1", "ip2", "ip3"],
+    )
+    def test_two_party_breakdown_matches_two_branch_oracle(self, make_rows, n, total):
+        # The engine counts each branch once and reads the bit-0 branch of
+        # mask m as the bit-1 branch of m ^ full; the oracle counts both apart.
+        rows = make_rows(n)
+        result = _two_party_two_bit(rows)
+        assert result.breakdown == two_branch_breakdown(_two_party_game(rows), "AB", "AB")
+        assert result.feasible == total
 
     def test_length_limits(self):
-        with pytest.raises(ValueError):
-            search_two_party_two_bit(parity_table(4))
         with pytest.raises(ValueError):
             search_two_party_one_bit(parity_table(5))
 
@@ -446,10 +480,15 @@ class TestTwoPartySearches:
         ids=["none", "one", "three", "six", "bit_2", "bit_4", "negative", "float"],
     )
     def test_malformed_rows_rejected(self, rows):
-        for check in (search_two_party_two_bit, search_two_party_one_bit,
-                      send_all_bits_feasible):
+        for check in (search_two_party_one_bit, send_all_bits_feasible):
             with pytest.raises(ValueError):
                 check(rows)
+
+
+def _two_party_two_bit(rows):
+    """The engine's adaptive two-bit two-party count; the receiver holds the first word."""
+    return _count_protocols("two_party_two_bit", _two_party_game(rows), ("A", "B"),
+                            ("A", "B"), 1)
 
 
 def _brute_force_two_party_two_bit(rows) -> int:
@@ -505,8 +544,6 @@ def _reference_valid_bitmap(row: int, pull, s: int) -> int:
 
 class TestClosedFormBitmaps:
     def test_three_party_views(self):
-        from ghzcc.lowerbound import _ghz_game
-
         game = _ghz_game()
         for x in range(8):
             row = sum(f3(x, y) << y for y in range(8))
@@ -525,8 +562,6 @@ class TestClosedFormBitmaps:
         ids=["inner_product_table", "parity_table"],
     )
     def test_two_party_rows(self, make_rows, f):
-        from ghzcc.lowerbound import _two_party_game
-
         game = _two_party_game(make_rows(3))
         for vx in range(8):
             row = sum(f(*_pair(vx, vy, 3)) << vy for vy in range(8))
