@@ -31,13 +31,6 @@ class InvariantViolation(Exception):
     """
 
 
-class ExactnessError(ArithmeticError):
-    """A state left qsim's exact (p, q) representation; caller bug.
-
-    Defined here so that cli catches it without importing qsim.
-    """
-
-
 _set = object.__setattr__
 
 

@@ -308,7 +308,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     demo = sub.add_parser("demo", help="run all protocols on a random input")
-    demo.add_argument("--n", type=int, default=3, help="input length (1..32)")
+    demo.add_argument("--n", type=int, default=3, help=f"input length (1..{bitcore.MAX_LENGTH})")
     demo.add_argument("--seed", type=int, default=0)
 
     verify = sub.add_parser("verify", help="exhaustive verification suites")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .bitcore import LEGAL_COLUMNS, ExactnessError, InvariantViolation
+from .bitcore import LEGAL_COLUMNS, InvariantViolation
 
 PARTIES = ("A", "B", "C")
 # Basis strings are read b_A b_B b_C, so party A owns the high bit.
@@ -20,6 +20,10 @@ _PARTY_BIT = {"A": 4, "B": 2, "C": 1}
 BASIS = tuple(format(i, "03b") for i in range(8))
 
 Amp = tuple[int, int]
+
+
+class ExactnessError(ArithmeticError):
+    """A state left the exact (p, q) representation; caller bug."""
 
 
 def _amp_sq(amp: Amp) -> Fraction:

@@ -22,7 +22,7 @@ if TYPE_CHECKING:
     from .cli import Report
 
 # A law of the package failing at run time: the check it hits fails and names it.
-_FAULTS = (bitcore.InvariantViolation, bitcore.ExactnessError)
+_FAULTS = (bitcore.InvariantViolation, qsim.ExactnessError)
 
 
 def _fault_text(exc: Exception) -> str:

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from ghzcc import cli, protocols, qsim
+from ghzcc import bitcore, cli, protocols, qsim
 from ghzcc.bitcore import BitString, InvariantViolation
 from ghzcc.cli import (
     EXIT_CHECK_FAILED,
@@ -325,6 +325,31 @@ class TestMainEntry:
         if command == ["replay"]:
             assert len(CASES) == 7
             assert "--case {" + ",".join(sorted(CASES)) + "}" in out
+
+    def test_demo_help_reads_the_length_bound(self, monkeypatch, capsys):
+        monkeypatch.setattr(bitcore, "MAX_LENGTH", 16)
+        with pytest.raises(SystemExit):
+            main(["demo", "--help"])
+        assert "input length (1..16)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        ("argv", "message"),
+        [
+            (["demo", "--n", "40"], "--n must be in 1..32"),
+            (["verify", "--n", "9"], "--n must be in 1..8"),
+            (["search", "--workers", "0"], "--workers must be >= 1"),
+            (["demo", "--seed", "-1"], "--seed must be >= 0"),
+        ],
+        ids=["demo-n", "verify-n", "search-workers", "demo-seed"],
+    )
+    def test_rejected_arguments_never_touch_out(self, argv, message, tmp_path, capsys):
+        # Every argument rule runs before the --out pre-open creates the file.
+        target = tmp_path / "new.json"
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(target)])
+        assert exc.value.code == EXIT_USAGE
+        assert capsys.readouterr().err.splitlines()[-1] == f"ghzcc: error: {message}"
+        assert not target.exists()
 
     def test_unwritable_out_is_a_usage_error(self, tmp_path, monkeypatch, capsys):
         # The path is checked before the command runs, so the command never starts.

@@ -1,8 +1,11 @@
-"""The report manifest: one SHA-256 per command family over a fixed corpus.
+"""The report manifest: one SHA-256 per command family over a fixed corpus,
+then one per report.
 
 Each family's digest covers every line but the trailing timing line of each
 report in its corpus, machine rendering then text rendering, in corpus order.
-A change meant to alter a report regenerates the manifest with
+Each report's own digest, keyed by its command and arguments (`demo 32 7`),
+covers the same lines of that report alone, so a failure names the reports
+that changed. A change meant to alter a report regenerates the manifest with
 
     PYTHONPATH=src python tests/test_manifest.py
 
@@ -36,27 +39,38 @@ CORPUS = {
 }
 
 
-def _digest(reports) -> str:
-    sha = hashlib.sha256()
-    for command, args in reports:
-        report = command(*args)
-        for rendered in (render_machine(report), render_text(report)):
-            # The timing record or line is always the last line.
-            body = rendered[:rendered.rindex("\n", 0, -1) + 1]
-            sha.update(body.encode())
-    return sha.hexdigest()
+def _body(report) -> bytes:
+    body = ""
+    for rendered in (render_machine(report), render_text(report)):
+        # The timing record or line is always the last line.
+        body += rendered[:rendered.rindex("\n", 0, -1) + 1]
+    return body.encode()
 
 
 def digests() -> dict[str, str]:
-    return {family: _digest(reports) for family, reports in CORPUS.items()}
+    """Each family's digest, in corpus order, then each report's, keyed by its call."""
+    families, reports = {}, {}
+    for family, corpus in CORPUS.items():
+        sha = hashlib.sha256()
+        for command, args in corpus:
+            body = _body(command(*args))
+            sha.update(body)
+            reports[" ".join(map(str, (family, *args)))] = hashlib.sha256(body).hexdigest()
+        families[family] = sha.hexdigest()
+    return {**families, **reports}
 
 
 def _lines(table: dict[str, str]) -> str:
-    return "".join(f"{digest}  {family}\n" for family, digest in table.items())
+    return "".join(f"{digest}  {key}\n" for key, digest in table.items())
 
 
 def test_reports_match_manifest():
-    assert _lines(digests()) == MANIFEST.read_text(encoding="utf-8")
+    manifest = MANIFEST.read_text(encoding="utf-8")
+    recorded = dict(line.split("  ", 1)[::-1] for line in manifest.splitlines())
+    table = digests()
+    changed = [key for key in {**table, **recorded} if table.get(key) != recorded.get(key)]
+    assert changed == []
+    assert _lines(table) == manifest
 
 
 if __name__ == "__main__":

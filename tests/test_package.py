@@ -1,5 +1,5 @@
-"""The package surface: lazy exports, per-command imports, perfbench's bindings,
-and a package reader for every public name."""
+"""The package surface: per-command imports, perfbench's bindings, and a
+package reader for every public name."""
 
 import ast
 import importlib
@@ -12,29 +12,7 @@ from pathlib import Path
 
 import pytest
 
-import ghzcc
-
 ROOT = Path(__file__).resolve().parents[1]
-
-# Every name `import ghzcc` offered before its exports became lazy, by module,
-# less the two-party functions and protocols that moved to tests/oracles.py.
-EXPORTS = {
-    "bitcore": (
-        "BitString", "InvariantViolation", "PromiseTriple", "PromiseViolation",
-        "enumerate_promise", "f_ghz", "random_promise_triple",
-    ),
-    "protocols": (
-        "audit_run", "run_classical_count", "run_classical_three_bit", "run_quantum_two_bit",
-    ),
-    "qsim": (
-        "TripleState", "apply_hadamard", "check_lemma1", "mermin_state", "sample_outcome",
-        "support", "transformed_state",
-    ),
-    "lowerbound": (
-        "carol_partition_feasible", "case_cover_check", "replay_case",
-        "search_blackboard_two_bit", "search_bob_broadcast_carol", "search_two_party_ip3",
-    ),
-}
 
 # The layers that search and replay must never load.
 HEAVY = ("ghzcc.protocols", "ghzcc.qsim", "dataclasses", "ghzcc.runs")
@@ -55,6 +33,7 @@ steps = json.loads(sys.argv[1])
 def watched():
     return [m for m in {watched!r} if m in sys.modules]
 import ghzcc
+assert not [m for m in sys.modules if m.startswith("ghzcc.")] and not hasattr(ghzcc, "f_ghz")
 seen = {{"import ghzcc": [0, watched()]}}
 from ghzcc import cli
 seen["import ghzcc.cli"] = [0, watched()]
@@ -125,25 +104,6 @@ def test_cases_and_all_load_lowerbound(run_isolation):
     for passed, loaded in (seen[RUN_STEPS[-1]], alone[ALL_STEP]):
         assert passed is True
         assert "ghzcc.lowerbound" in loaded
-
-
-def test_every_export_resolves_to_its_module_attribute():
-    for module_name, names in EXPORTS.items():
-        module = importlib.import_module(f"ghzcc.{module_name}")
-        assert getattr(ghzcc, module_name) is module
-        for name in names:
-            assert getattr(ghzcc, name) is getattr(module, name), name
-    assert sorted(ghzcc.__all__) == sorted(n for names in EXPORTS.values() for n in names)
-
-
-def test_dir_lists_exports_and_unknown_names_raise():
-    listed = dir(ghzcc)
-    for module_name, names in EXPORTS.items():
-        assert module_name in listed
-        assert set(names) <= set(listed)
-    for name in ("no_such_name", "reduce_to_inner_product", "f_parity", "run_ip_trivial"):
-        with pytest.raises(AttributeError, match=name):
-            getattr(ghzcc, name)
 
 
 def perfbench_bindings():
@@ -226,8 +186,7 @@ def public_definitions(tree: ast.Module):
 
 def test_every_public_name_has_a_package_reader():
     # A read is a loaded name or an attribute access anywhere in the package
-    # outside the definition itself; import lines and __init__'s export
-    # strings do not count.
+    # outside the definition itself; import lines do not count.
     trees = [
         ast.parse(path.read_text(encoding="utf-8"))
         for path in sorted((ROOT / "src" / "ghzcc").glob("*.py"))
