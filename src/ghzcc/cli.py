@@ -5,11 +5,11 @@ line-delimited JSON document. Timing is isolated in a dedicated trailing
 record so that reports with identical parameters and seeds are byte-identical
 everywhere else.
 
-A command loads only the layers it runs. `cmd_demo` and verify's lemma1,
-quantum and classical sections run in `runs`, loaded on first use with the
-protocol and quantum-simulation layers. `cmd_search`, `cmd_replay`, verify's
-cases section and the argument parser load `lowerbound`, so an in-process
-demo or verify without cases never compiles it.
+A command loads only the checker it runs: `runs` (with the protocol and
+quantum layers) for `cmd_demo` and verify's lemma1, quantum and classical
+sections; `bounds` (with `lowerbound`) for `cmd_search`, `cmd_replay` and
+verify's cases section. The parser loads `lowerbound` for replay's case ids,
+so an in-process demo or verify without cases compiles no lower-bound code.
 """
 
 from __future__ import annotations
@@ -19,12 +19,9 @@ import functools
 import json
 import sys
 import time
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 from . import bitcore
-
-if TYPE_CHECKING:
-    from . import lowerbound
 
 SCHEMA_VERSION = 1
 
@@ -41,9 +38,8 @@ MAX_VERIFY_N = 8
 def _runs():
     """The run checker (`runs`), imported by the first demo or verify.
 
-    Search and replay never load it, nor the protocol and quantum-simulation
-    layers it imports. A cached call costs less per demo request than an
-    import statement.
+    Search and replay never load it or the layers it imports. A cached call
+    costs less per demo request than an import statement.
     """
     from . import runs
 
@@ -157,28 +153,6 @@ def cmd_demo(n: int, seed: int) -> Report:
     return report
 
 
-def _verify_cases(report: Report) -> None:
-    from . import lowerbound
-
-    for case_id in sorted(lowerbound.CASES):
-        case = lowerbound.replay_case(case_id)
-        report.check(
-            f"case_{case_id}",
-            case.passed,
-            tuples=len(case.tuple_checks),
-            joint_feasible=case.feasibility.feasible,
-        )
-    coverage = lowerbound.case_cover_check()
-    report.check(
-        "case_cover",
-        coverage.passed,
-        partitions=coverage.total,
-        mapped=len(coverage.assignments),
-        unmapped=len(coverage.unmapped),
-        counts={k: v for k, v in sorted(coverage.counts.items())},
-    )
-
-
 def cmd_verify(scope: str, n: int, seed: int) -> Report:
     """Exhaustive checks for the chosen scope; any failure flips the exit code.
 
@@ -199,21 +173,11 @@ def cmd_verify(scope: str, n: int, seed: int) -> Report:
     if scope in ("classical", "all"):
         _runs().verify_classical(report, n)
     if scope in ("cases", "all"):
-        _verify_cases(report)
+        from . import bounds
+
+        bounds.verify_cases(report)
     report.elapsed_s = time.perf_counter() - start
     return report
-
-
-def _pattern_label(key: tuple[str, str, str]) -> str:
-    first, when0, when1 = key
-    return f"{first}-{when0}/{when1}"
-
-
-def _search_zero(report: Report, result: lowerbound.SearchResult, check: str, **note: Any) -> None:
-    """Note a search result and check that no candidate is feasible."""
-    feasible, candidates = result.feasible, result.candidates
-    report.note("search", name=result.name, candidates=candidates, feasible=feasible, **note)
-    report.check(check, feasible == 0, feasible=feasible, candidates=candidates)
 
 
 def cmd_search(scope: str, workers: int, seed: int) -> Report:
@@ -225,69 +189,25 @@ def cmd_search(scope: str, workers: int, seed: int) -> Report:
     if scope not in SEARCH_SCOPES:
         raise ValueError(f"unknown search scope {scope!r}; know {list(SEARCH_SCOPES)}")
     _check_seed(seed)
-    from . import lowerbound
+    from . import bounds
 
     start = time.perf_counter()
     report = Report("search", {"scope": scope, "workers": workers, "seed": seed})
-    if scope == "paper":
-        result = lowerbound.search_bob_broadcast_carol(workers=workers)
-        _search_zero(report, result, "broadcast_response_zero_feasible")
-        report.check(
-            "three_bit_messages_feasible", lowerbound.three_bit_messages_feasible()
-        )
-    elif scope == "blackboard":
-        result = lowerbound.search_blackboard_two_bit(workers=workers)
-        breakdown = result.breakdown
-        _search_zero(report, result, "blackboard_zero_feasible",
-                     breakdown={_pattern_label(k): v for k, v in breakdown.items()})
-        alice_first = sum(v for k, v in breakdown.items() if k[0] == "A")
-        report.check("alice_first_zero_feasible", alice_first == 0)
-        report.check("relay_b_then_c_zero_feasible", breakdown["B", "C", "C"] == 0)
-    elif scope == "ip3":
-        result = lowerbound.search_two_party_ip3(workers=workers)
-        _search_zero(report, result, "ip3_two_bit_zero_feasible")
-        report.check(
-            "ip3_three_bit_feasible",
-            lowerbound.send_all_bits_feasible(bitcore.inner_product_table(3)),
-        )
-        for n in range(1, 5):
-            one_bit = lowerbound.search_two_party_one_bit(bitcore.parity_table(n))
-            report.check(
-                f"parity_one_bit_feasible_n{n}",
-                one_bit.feasible >= 1,
-                feasible=one_bit.feasible,
-            )
+    bounds.search(report, scope, workers)
     report.elapsed_s = time.perf_counter() - start
     return report
 
 
 def cmd_replay(case: str | None) -> Report:
-    """Replay one elimination case, or all seven plus the coverage check."""
-    from . import lowerbound
+    """Replay one elimination case, or all seven plus the coverage check if None.
+
+    An unknown case id, the empty one included, raises ValueError.
+    """
+    from . import bounds
 
     start = time.perf_counter()
-    report = Report("replay", {"case": case or "all", "seed": 0})
-    ids = [case] if case else sorted(lowerbound.CASES)
-    for case_id in ids:
-        result = lowerbound.replay_case(case_id)
-        report.note(
-            "case",
-            id=result.case_id,
-            header=result.header,
-            tuples=[list(check) for check in result.tuple_checks],
-            apart=[list(p) for p in result.feasibility.apart],
-            together=[list(p) for p in result.feasibility.together],
-            joint_feasible=result.feasibility.feasible,
-        )
-        report.check(f"case_{case_id}", result.passed, failures=list(result.failures))
-    if not case:
-        coverage = lowerbound.case_cover_check()
-        report.check(
-            "case_cover",
-            coverage.passed,
-            partitions=coverage.total,
-            counts={k: v for k, v in sorted(coverage.counts.items())},
-        )
+    report = Report("replay", {"case": "all" if case is None else case, "seed": 0})
+    bounds.replay(report, case)
     report.elapsed_s = time.perf_counter() - start
     return report
 

@@ -28,6 +28,13 @@ from ghzcc.lowerbound import CASES
 from oracles import render_machine_reference
 
 
+def child_env(*paths: Path) -> dict[str, str]:
+    """os.environ with paths put before the caller's PYTHONPATH, if it has one."""
+    inherited = os.environ.get("PYTHONPATH")
+    entries = [*map(str, paths), *([inherited] if inherited else [])]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(entries)}
+
+
 class TestDemo:
     def test_outputs_agree_and_pass(self):
         report = cmd_demo(3, seed=1)
@@ -145,6 +152,11 @@ class TestReplay:
         report = cmd_replay("2.2.1")
         assert report.passed
         assert len(report.checks) == 1
+
+    def test_empty_case_id_is_unknown(self):
+        # Only None means all cases; "" must not replay all seven as "case: all".
+        with pytest.raises(ValueError, match="unknown case id ''"):
+            cmd_replay("")
 
 
 class TestReportFormats:
@@ -420,7 +432,7 @@ class TestMainEntry:
         assert "FAIL" in capsys.readouterr().out
 
     def test_module_entry_point(self):
-        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        env = child_env(Path(cli.__file__).resolve().parents[1])
         proc = subprocess.run(
             [sys.executable, "-m", "ghzcc", "demo", "--n", "2", "--seed", "3"],
             capture_output=True,
@@ -711,8 +723,7 @@ def test_injected_fault_fails_under_optimized_python():
         "    argv = ['verify', '--scope', 'classical', '--n', '2', '--format', 'machine']\n"
         "    sys.exit(cli.main(argv))\n"
     )
-    path = os.pathsep.join([str(src), str(Path(__file__).parent)])
-    env = {**os.environ, "PYTHONPATH": path}
+    env = child_env(src, Path(__file__).parent)
     proc = subprocess.run(
         [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
     )

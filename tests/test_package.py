@@ -16,7 +16,10 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # The layers that search and replay must never load.
 HEAVY = ("ghzcc.protocols", "ghzcc.qsim", "dataclasses", "ghzcc.runs")
-WATCHED = (*HEAVY, "ghzcc.lowerbound")
+# The lower-bound checker and the layer under it, which demo and verify
+# without cases must never load.
+LOWER = ("ghzcc.bounds", "ghzcc.lowerbound")
+WATCHED = (*HEAVY, *LOWER)
 LIGHT_COMMANDS = (
     ["search", "--scope", "paper"],
     ["search", "--scope", "blackboard"],
@@ -73,9 +76,12 @@ def test_search_and_replay_load_no_protocol_layer(isolation, step):
     code, loaded = isolation[step]
     assert code == 0
     assert [m for m in loaded if m in HEAVY] == []
+    if step != "import ghzcc":
+        assert set(LOWER) <= set(loaded)
 
 
-# In-process runs, in order: none before the cases section may load lowerbound.
+# In-process runs, in order: none before the cases section may load bounds or
+# lowerbound.
 RUN_STEPS = [
     "cli.cmd_demo(32, 0).passed",
     *(f"cli.cmd_verify({scope!r}, 2, 0).passed" for scope in ("lemma1", "quantum", "classical")),
@@ -96,14 +102,32 @@ def test_demo_and_verify_without_cases_load_no_lowerbound(run_isolation):
     for step in RUN_STEPS[:-1]:
         passed, loaded = seen[step]
         assert passed is True, step
-        assert "ghzcc.lowerbound" not in loaded, step
+        assert [m for m in loaded if m in LOWER] == [], step
 
 
 def test_cases_and_all_load_lowerbound(run_isolation):
     seen, alone = run_isolation
     for passed, loaded in (seen[RUN_STEPS[-1]], alone[ALL_STEP]):
         assert passed is True
-        assert "ghzcc.lowerbound" in loaded
+        assert set(LOWER) <= set(loaded)
+
+
+def test_cli_reads_lowerbound_only_in_build_parser():
+    # replay --case's choices are the one lower-bound fact cli reads; the
+    # reports themselves are assembled in bounds.
+    tree = ast.parse((ROOT / "src" / "ghzcc" / "cli.py").read_text(encoding="utf-8"))
+    parser = next(node for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "_build_parser")
+    inside = {id(node) for node in ast.walk(parser)}
+    outside = [
+        node.lineno for node in ast.walk(tree)
+        if id(node) not in inside and (
+            isinstance(node, ast.Name) and node.id == "lowerbound"
+            or isinstance(node, ast.alias) and node.name == "lowerbound"
+            or isinstance(node, ast.ImportFrom) and node.module == "lowerbound"
+        )
+    ]
+    assert outside == []
 
 
 def perfbench_bindings():
