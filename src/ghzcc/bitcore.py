@@ -93,10 +93,6 @@ class BitString(FrozenValue):
             raise IndexError(f"bit index {i} outside 1..{self.length}")
         return (self.bits >> (i - 1)) & 1
 
-    def __iter__(self) -> Iterator[int]:
-        bits = self.bits
-        return ((bits >> i) & 1 for i in range(self.length))
-
     def __str__(self) -> str:
         return format(self.bits, f"0{self.length}b")[::-1]
 

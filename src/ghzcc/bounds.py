@@ -54,7 +54,10 @@ def _search_zero(report: Report, result: lowerbound.SearchResult, check: str, **
 
 
 def search(report: Report, scope: str, workers: int) -> None:
-    """Run the lower-bound search of one scope, as `cli.SEARCH_SCOPES` names it."""
+    """Run the lower-bound search of one scope, as `cli.SEARCH_SCOPES` names it.
+
+    An unknown scope raises ValueError, with nothing written to the report.
+    """
     if scope == "paper":
         result = lowerbound.search_bob_broadcast_carol(workers=workers)
         _search_zero(report, result, "broadcast_response_zero_feasible")
@@ -83,6 +86,8 @@ def search(report: Report, scope: str, workers: int) -> None:
                 one_bit.feasible >= 1,
                 feasible=one_bit.feasible,
             )
+    else:
+        raise ValueError(f"unknown search scope {scope!r}")
 
 
 def replay(report: Report, case: str | None) -> None:

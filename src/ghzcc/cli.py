@@ -68,9 +68,8 @@ class Report:
     def passed(self) -> bool:
         return not self.failed
 
-    def check(self, name: str, passed: bool, **detail: Any) -> bool:
+    def check(self, name: str, passed: bool, **detail: Any) -> None:
         self.checks.append({"type": "check", "name": name, "passed": bool(passed), **detail})
-        return passed
 
     def note(self, kind: str, **detail: Any) -> None:
         self.info.append({"type": "info", "kind": kind, **detail})

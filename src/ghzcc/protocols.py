@@ -126,7 +126,7 @@ def run_quantum_two_bit(t: PromiseTriple, rng) -> RunResult:
     states = [transformed_state(column) for column in LEGAL_COLUMNS]
     x, y = t.x.bits, t.y.bits
     a, b, c = zip(*[
-        sample_outcome(states[(x >> i & 1) << 1 | y >> i & 1], rng).bits
+        sample_outcome(states[(x >> i & 1) << 1 | y >> i & 1], rng)
         for i in range(t.length)
     ])
     inputs = {"A": (t.x, a), "B": (t.y, b), "C": (t.z, c)}

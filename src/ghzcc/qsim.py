@@ -9,7 +9,6 @@ and "squared norm is one" are exact integer statements, not tolerances.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from .bitcore import LEGAL_COLUMNS, InvariantViolation
@@ -18,6 +17,8 @@ PARTIES = ("A", "B", "C")
 # Basis strings are read b_A b_B b_C, so party A owns the high bit.
 _PARTY_BIT = {"A": 4, "B": 2, "C": 1}
 BASIS = tuple(format(i, "03b") for i in range(8))
+# The outcome at basis index i as bits (a, b, c), party A first.
+_BITS = tuple((i >> 2, i >> 1 & 1, i & 1) for i in range(8))
 
 Amp = tuple[int, int]
 
@@ -26,12 +27,13 @@ class ExactnessError(ArithmeticError):
     """A state left the exact (p, q) representation; caller bug."""
 
 
-def _amp_sq(amp: Amp) -> Fraction:
+def _weight(amp: Amp) -> int:
+    """8 |amp|^2 = 2p^2 + q^2: the outcome's probability in eighths."""
     p, q = amp
     if p and q:
         # |p/2 + q/(2*sqrt(2))|^2 has an irrational cross term.
         raise ExactnessError(f"amplitude {amp} has no rational squared magnitude")
-    return Fraction(p * p, 4) + Fraction(q * q, 8)
+    return 2 * p * p + q * q
 
 
 @dataclass(frozen=True)
@@ -52,27 +54,23 @@ class TripleState:
                 f"squared norm is {rational}/8 + {cross}/(2*sqrt(2))*..., not exactly 1"
             )
 
+    @property
+    def weights(self) -> tuple[int, ...]:
+        """The outcome law in eighths: basis outcome i has probability weights[i]/8."""
+        return tuple(map(_weight, self.amps))
+
     @cached_property
-    def _slots(self) -> tuple[Outcome, ...]:
+    def _slots(self) -> tuple[tuple[int, int, int], ...]:
         """Eight equally likely slots for sample_outcome, built on the first draw.
 
-        An outcome of probability (2p^2 + q^2)/8 fills 2p^2 + q^2 slots, in
-        basis order; the norm check above makes them total exactly 8.
+        Outcome i fills weights[i] slots, in basis order. The norm check above
+        makes them total 8; a table of any other length is refused.
         """
-        return tuple(o for o in outcome_distribution(self)
-                     for _ in range(int(8 * o.probability)))
-
-
-@dataclass(frozen=True)
-class Outcome:
-    """One joint measurement: a bit per party plus its exact probability."""
-
-    bits: tuple[int, int, int]
-    probability: Fraction
-
-    def __post_init__(self) -> None:
-        if self.probability <= 0:
-            raise ValueError(f"outcome with probability {self.probability}")
+        weights = self.weights
+        slots = tuple(bits for bits, w in zip(_BITS, weights) for _ in range(w))
+        if len(slots) != 8:
+            raise InvariantViolation(f"outcome weights {weights} fill {len(slots)} slots, not 8")
+        return slots
 
 
 def mermin_state() -> TripleState:
@@ -143,22 +141,8 @@ def check_lemma1(column: tuple[int, int, int]) -> int:
     return target
 
 
-def outcome_distribution(state: TripleState) -> tuple[Outcome, ...]:
-    """All nonzero outcomes with exact probabilities, in basis order."""
-    outcomes = []
-    for i in range(8):
-        prob = _amp_sq(state.amps[i])
-        if prob > 0:
-            bits = ((i >> 2) & 1, (i >> 1) & 1, i & 1)
-            outcomes.append(Outcome(bits, prob))
-    total = sum(o.probability for o in outcomes)
-    if total != 1:
-        raise InvariantViolation(f"outcome probabilities sum to {total}, not 1")
-    return tuple(outcomes)
-
-
-def sample_outcome(state: TripleState, rng) -> Outcome:
-    """Draw one joint outcome with probability = squared amplitude magnitude.
+def sample_outcome(state: TripleState, rng) -> tuple[int, int, int]:
+    """Draw one joint outcome (a, b, c) with probability = squared amplitude magnitude.
 
     random() is k/2**53 with k < 2**53, so 8*u is exact and below 8, and its
     floor picks slot k exactly when k/8 <= u < (k+1)/8.

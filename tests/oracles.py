@@ -5,12 +5,13 @@ computes another way: explicit candidates against the search counts, a
 per-class response count against the 2-coloring check, a two-bit count
 that evaluates both branches of every first message apart, the two-party
 reduction behind the imported inner-product fact, a cross-protocol
-agreement check, the quantum protocol's full output support, an exact
-simulator of the whole 3n-qubit state the parties share, the float
-threshold scan that the eight-slot sampler is checked against, the string
-form of the bit-position permutation and a partition coverage check built on
-it, and the machine renderer that walks
-every value before encoding each record with a new encoder.
+agreement check, each 3-qubit state's exact outcome law read from its
+amplitudes against qsim's integer weights, the quantum protocol's full
+output support, an exact simulator of the whole 3n-qubit state the parties
+share, the float threshold scan that the eight-slot sampler is checked
+against, the string form of the bit-position permutation and a partition
+coverage check built on it, and the machine renderer that walks every value
+before encoding each record with a new encoder.
 
 It also holds code that no command runs: a triple's column list and
 per-party zero counts, and the two-party parity and inner-product
@@ -36,7 +37,7 @@ from ghzcc.protocols import (
     RunResult, SendStep, run_classical_count, run_classical_three_bit, run_protocol,
     run_quantum_two_bit,
 )
-from ghzcc.qsim import Outcome, TripleState, outcome_distribution, transformed_state
+from ghzcc.qsim import TripleState, transformed_state
 
 
 def columns(t: PromiseTriple) -> list[tuple[int, int, int]]:
@@ -152,6 +153,25 @@ def candidate_feasible(candidate: ProtocolCandidate) -> bool:
     return _fibers_constant(8, f3, transcript)
 
 
+Bits = tuple[int, int, int]
+
+
+def outcome_law(state: TripleState) -> tuple[tuple[Bits, Fraction], ...]:
+    """Each measurable outcome (a, b, c) of state with its exact probability, in basis order.
+
+    p/2 + q/(2*sqrt(2)) squares to p^2/4 + q^2/8 plus an irrational cross term
+    pq/(2*sqrt(2)), so an amplitude with both p and q nonzero is refused.
+    """
+    law = []
+    for i, (p, q) in enumerate(state.amps):
+        if p and q:
+            raise ValueError(f"amplitude {(p, q)} has no rational squared magnitude")
+        probability = Fraction(p * p, 4) + Fraction(q * q, 8)
+        if probability:
+            law.append(((i >> 2 & 1, i >> 1 & 1, i & 1), probability))
+    return tuple(law)
+
+
 def quantum_output_support(t: PromiseTriple) -> set[int]:
     """Every output value the quantum protocol can produce on t.
 
@@ -159,31 +179,29 @@ def quantum_output_support(t: PromiseTriple) -> set[int]:
     sampling; the set must be the singleton {f_ghz(t)}. Exponential in n,
     intended for small n.
     """
-    per_column = [
-        [outcome.bits for outcome in outcome_distribution(transformed_state(col))]
-        for col in columns(t)
-    ]
+    per_column = [[bits for bits, _ in outcome_law(transformed_state(col))]
+                  for col in columns(t)]
     # s_A ^ s_B ^ s_C is the parity of every bit of the joint outcome.
     return {sum(map(sum, combo)) & 1 for combo in itertools.product(*per_column)}
 
 
 @lru_cache(maxsize=None)
-def _thresholds(state: TripleState) -> tuple[tuple[float, Outcome], ...]:
-    outcomes = outcome_distribution(state)
-    sums = itertools.accumulate(o.probability for o in outcomes)
-    return tuple((float(acc), o) for acc, o in zip(sums, outcomes))
+def _thresholds(state: TripleState) -> tuple[tuple[float, Bits], ...]:
+    law = outcome_law(state)
+    sums = itertools.accumulate(probability for _, probability in law)
+    return tuple((float(acc), bits) for acc, (bits, _) in zip(sums, law))
 
 
-def sample_by_thresholds(state: TripleState, rng) -> Outcome:
+def sample_by_thresholds(state: TripleState, rng) -> Bits:
     """One draw by scanning float cumulative probabilities, for u = rng.random().
 
     The first outcome whose running sum exceeds u is drawn. Every running sum
     is a multiple of 1/8, so each float threshold is exact.
     """
     u = rng.random()
-    for threshold, outcome in _thresholds(state):
+    for threshold, bits in _thresholds(state):
         if u < threshold:
-            return outcome
+            return bits
     raise ValueError(f"draw {u} lies past the last threshold of {state}")
 
 
@@ -286,9 +304,9 @@ def render_machine_reference(report: Report) -> str:
     return "\n".join([*map(encode, records), timing]) + "\n"
 
 
-def basis(outcome: Outcome) -> str:
-    """The outcome's bits as a basis string, party A first."""
-    return "".join(str(b) for b in outcome.bits)
+def basis(bits: Bits) -> str:
+    """An outcome's bits as a basis string, party A first."""
+    return "".join(map(str, bits))
 
 
 def _check_equal_lengths(x: BitString, y: BitString) -> None:

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from ghzcc import bitcore, cli, protocols, qsim
+from ghzcc import bitcore, bounds, cli, protocols, qsim
 from ghzcc.bitcore import BitString, InvariantViolation
 from ghzcc.cli import (
     EXIT_CHECK_FAILED,
@@ -125,6 +125,14 @@ class TestSearch:
         monkeypatch.setattr(cli, "Report", lambda *args: pytest.fail("command ran"))
         with pytest.raises(ValueError, match="'blackbord'"):
             cmd_search("blackbord", 1, 0)
+
+    def test_checker_refuses_an_unknown_scope(self):
+        # cmd_search rejects the scope before it makes a Report; the checker
+        # must not pass a report with nothing checked when called directly.
+        report = cli.Report("search", {})
+        with pytest.raises(ValueError, match="'bogus'"):
+            bounds.search(report, "bogus", 1)
+        assert (report.info, report.checks) == ([], [])
 
 
 @pytest.mark.parametrize(
@@ -291,7 +299,40 @@ class TestRenderOracle:
         assert [render_machine(report) for report in reports] == fast
 
 
+# Each CLI bound beside the in-process check behind it, as (argv, command,
+# its arguments, rejected). main states its rules apart from the commands, so
+# that a bad value never reaches the --out pre-open; this table keeps the two equal.
+_SEED_COMMANDS = (
+    (["demo"], "cmd_demo", (3,)),
+    (["verify", "--scope", "lemma1"], "cmd_verify", ("lemma1", 3)),
+    (["search"], "cmd_search", ("paper", 1)),
+)
+ARGUMENT_BOUNDS = [
+    *((["demo", "--n", str(n)], "cmd_demo", (n, 0), n in (0, 33)) for n in (0, 1, 32, 33)),
+    *((["verify", "--scope", "lemma1", "--n", str(n)], "cmd_verify", ("lemma1", n, 0), n in (0, 9))
+      for n in (0, 1, 8, 9)),
+    *((["search", "--workers", str(w)], "cmd_search", ("paper", w, 0), w == 0) for w in (0, 1)),
+    *(([*argv, "--seed", str(seed)], command, (*args, seed), seed < 0)
+      for argv, command, args in _SEED_COMMANDS for seed in (-1, 0)),
+]
+
+
 class TestMainEntry:
+    @pytest.mark.parametrize("argv, command, args, rejected", ARGUMENT_BOUNDS,
+                             ids=[" ".join(bound[0]) for bound in ARGUMENT_BOUNDS])
+    def test_main_exits_2_exactly_when_its_command_raises(self, argv, command, args,
+                                                          rejected, capsys):
+        try:
+            getattr(cli, command)(*args)
+            raised = False
+        except ValueError:
+            raised = True
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert (raised, code) == (rejected, EXIT_USAGE if rejected else EXIT_OK)
+
     def test_exit_ok(self, capsys):
         assert main(["demo", "--n", "3", "--seed", "1"]) == EXIT_OK
         assert "summary: PASS" in capsys.readouterr().out

@@ -19,7 +19,10 @@ HEAVY = ("ghzcc.protocols", "ghzcc.qsim", "dataclasses", "ghzcc.runs")
 # The lower-bound checker and the layer under it, which demo and verify
 # without cases must never load.
 LOWER = ("ghzcc.bounds", "ghzcc.lowerbound")
-WATCHED = (*HEAVY, *LOWER)
+# Exact rational arithmetic: qsim states each outcome law in integer eighths,
+# so no demo or verify run needs it.
+RATIONAL = ("fractions", "decimal")
+WATCHED = (*HEAVY, *LOWER, *RATIONAL)
 LIGHT_COMMANDS = (
     ["search", "--scope", "paper"],
     ["search", "--scope", "blackboard"],
@@ -103,6 +106,12 @@ def test_demo_and_verify_without_cases_load_no_lowerbound(run_isolation):
         passed, loaded = seen[step]
         assert passed is True, step
         assert [m for m in loaded if m in LOWER] == [], step
+
+
+def test_demo_and_verify_without_cases_load_no_rational_arithmetic(run_isolation):
+    seen, _ = run_isolation
+    for step in ["import ghzcc.cli", *RUN_STEPS[:-1]]:
+        assert [m for m in seen[step][1] if m in RATIONAL] == [], step
 
 
 def test_cases_and_all_load_lowerbound(run_isolation):

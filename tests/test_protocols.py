@@ -8,6 +8,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -127,16 +128,17 @@ class TestJointState:
         assert checked == sum(16 ** n for n in (1, 2, 3))
 
     def test_joint_law_is_the_product_of_the_column_laws(self):
-        # The protocol draws each column from its own 3-qubit law.
+        # The protocol draws each column from its own 3-qubit law, its weights in eighths.
         for n in (1, 2, 3):
             for t in enumerate_promise(n):
-                laws = [qsim.outcome_distribution(qsim.transformed_state(column))
+                laws = [[(tuple(map(int, b)), Fraction(w, 8))
+                         for b, w in zip(qsim.BASIS, qsim.transformed_state(column).weights) if w]
                         for column in columns(t)]
                 product = {}
                 for combo in itertools.product(*laws):
-                    words = tuple(sum(o.bits[p] << i for i, o in enumerate(combo))
+                    words = tuple(sum(bits[p] << i for i, (bits, _) in enumerate(combo))
                                   for p in range(3))
-                    product[words] = math.prod(o.probability for o in combo)
+                    product[words] = math.prod(probability for _, probability in combo)
                 assert joint_outcomes(t) == product, t
 
 
@@ -429,14 +431,14 @@ class TestSchedulesBuiltOnce:
         rng = random.Random(6)
         run_quantum_two_bit(random_promise_triple(8, rng), rng)
         calls = []
-        distribution = qsim.outcome_distribution
+        weight = qsim._weight
 
-        def counted(state):
-            calls.append(state)
-            return distribution(state)
+        def counted(amp):
+            calls.append(amp)
+            return weight(amp)
 
-        # A sampling table is built from outcome_distribution, once per state.
-        monkeypatch.setattr(qsim, "outcome_distribution", counted)
+        # A sampling table is built from weights, once per state.
+        monkeypatch.setattr(qsim, "_weight", counted)
         for n in (1, 8, 32):
             for _ in range(20):
                 assert run_quantum_two_bit(random_promise_triple(n, rng), rng).cost == 2

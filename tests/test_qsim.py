@@ -8,22 +8,20 @@ from fractions import Fraction
 import pytest
 
 from ghzcc import qsim
+from ghzcc.bitcore import InvariantViolation
 from ghzcc.qsim import (
     BASIS,
     ExactnessError,
-    Outcome,
     PARTIES,
     TripleState,
-    _amp_sq,
     apply_hadamard,
     check_lemma1,
     mermin_state,
-    outcome_distribution,
     sample_outcome,
     support,
     transformed_state,
 )
-from oracles import basis, sample_by_thresholds
+from oracles import basis, outcome_law, sample_by_thresholds
 
 LEGAL_COLUMNS = ((0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 1, 1))
 # The shared triple and the four states a column is drawn from.
@@ -41,7 +39,7 @@ def amplitude(state: TripleState, b: str):
 
 
 def probability(state: TripleState, b: str) -> Fraction:
-    return _amp_sq(amplitude(state, b))
+    return Fraction(state.weights[int(b, 2)], 8)
 
 
 class TestMerminState:
@@ -164,14 +162,16 @@ class TestExactRepresentation:
     def test_mixed_amplitude_has_no_rational_probability(self):
         # (1,1) and (1,-1) cancel each other's sqrt(2) norm terms, so the
         # state is exactly normalized, but each squared magnitude alone is
-        # irrational and _amp_sq must refuse.
+        # irrational: its weights, and so its first draw, must refuse.
         amps = [ZERO] * 8
         amps[0] = (1, 1)
         amps[1] = (1, -1)
         amps[2] = (1, 0)
         state = TripleState(tuple(amps))
         with pytest.raises(ExactnessError):
-            _amp_sq(state.amps[0])
+            state.weights
+        with pytest.raises(ExactnessError):
+            sample_outcome(state, random.Random(0))
 
     def test_hadamard_outside_closure_raises(self):
         # Valid norm, but the C-pair (000, 001) has odd q-sum, so a C
@@ -198,14 +198,14 @@ class FixedDraw:
 class TestSampling:
     def test_basis_state_is_certain(self):
         state = TripleState(tuple((2, 0) if i == 0b011 else ZERO for i in range(8)))
-        outcome = sample_outcome(state, random.Random(0))
-        assert outcome.bits == (0, 1, 1)
-        assert outcome.probability == 1
+        assert state.weights == (0, 0, 0, 8, 0, 0, 0, 0)
+        assert sample_outcome(state, random.Random(0)) == (0, 1, 1)
 
-    def test_distribution_object(self):
-        outcomes = outcome_distribution(mermin_state())
-        assert [basis(o) for o in outcomes] == ["001", "010", "100", "111"]
-        assert all(o.probability == Fraction(1, 4) for o in outcomes)
+    @pytest.mark.parametrize("state", SAMPLED_STATES, ids=SAMPLED_IDS)
+    def test_weights_are_the_exact_law(self, state):
+        law = [(tuple(map(int, b)), Fraction(w, 8))
+               for b, w in zip(BASIS, state.weights) if w]
+        assert law == list(outcome_law(state))
 
     def test_seed_determinism(self):
         state = transformed_state((0, 0, 1))
@@ -247,10 +247,6 @@ class TestSampling:
         chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
         assert chi2 < 16.27
 
-    def test_outcome_probability_must_be_positive(self):
-        with pytest.raises(ValueError):
-            Outcome((0, 0, 0), Fraction(0))
-
     @pytest.mark.parametrize("state", SAMPLED_STATES, ids=SAMPLED_IDS)
     def test_slot_table_is_the_exact_distribution(self, state):
         # With u uniform on [0, 1), slot k is drawn for u in [k/8, (k+1)/8), so
@@ -258,7 +254,7 @@ class TestSampling:
         slots = state._slots
         assert len(slots) == 8
         runs = [(outcome, len(list(run))) for outcome, run in itertools.groupby(slots)]
-        assert runs == [(o, 8 * o.probability) for o in outcome_distribution(state)]
+        assert runs == [(bits, 8 * p) for bits, p in outcome_law(state)]
         for k, outcome in enumerate(slots):
             for u in (k / 8, math.nextafter((k + 1) / 8, 0.0)):
                 assert sample_outcome(state, FixedDraw(u)) is outcome, (k, u)
@@ -272,16 +268,22 @@ class TestSampling:
 
     def test_each_state_builds_its_table_once(self, monkeypatch):
         calls = []
-        distribution = qsim.outcome_distribution
+        weight = qsim._weight
 
-        def counted(state):
-            calls.append(state)
-            return distribution(state)
+        def counted(amp):
+            calls.append(amp)
+            return weight(amp)
 
-        # A sampling table is built from outcome_distribution.
-        monkeypatch.setattr(qsim, "outcome_distribution", counted)
+        # A sampling table is built from weights, one _weight call per amplitude.
+        monkeypatch.setattr(qsim, "_weight", counted)
         state = mermin_state()
         rng = random.Random(0)
         for _ in range(100):
             sample_outcome(state, rng)
-        assert calls == [state]
+        assert calls == list(state.amps)
+
+    def test_a_law_that_misses_eight_slots_is_refused(self, monkeypatch):
+        # p^2 + q^2 drops a factor 2 on every half amplitude: 4 slots, not 8.
+        monkeypatch.setattr(qsim, "_weight", lambda amp: amp[0] ** 2 + amp[1] ** 2)
+        with pytest.raises(InvariantViolation):
+            sample_outcome(mermin_state(), random.Random(0))
