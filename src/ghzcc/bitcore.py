@@ -35,16 +35,17 @@ _set = object.__setattr__
 
 
 class FrozenValue:
-    """An immutable value: its __slots__ are its fields, set once by __init__.
+    """An immutable value: its public __slots__ are its fields, set once by __init__.
 
-    Equality, hashing and repr go by the fields in slot order, as a frozen
-    dataclass's would; assigning or deleting a field raises AttributeError.
+    A "_" slot holds what __init__ derives from the fields. Equality, hashing, repr
+    and pickling go by the fields in slot order, as a frozen dataclass's would;
+    assigning or deleting an attribute raises AttributeError.
     """
 
     __slots__ = ()
 
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+    def _fields(self) -> dict:
+        return {name: getattr(self, name) for name in self.__slots__ if name[0] != "_"}
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -52,10 +53,10 @@ class FrozenValue:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._fields())
+        return hash(tuple(self._fields().values()))
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={value!r}" for name, value in self._fields().items())
         return f"{type(self).__qualname__}({fields})"
 
     def __setattr__(self, name: str, value) -> None:
@@ -65,7 +66,7 @@ class FrozenValue:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return type(self), self._fields()
+        return type(self), tuple(self._fields().values())
 
 
 class BitString(FrozenValue):
@@ -143,10 +144,14 @@ def f_ghz(t: PromiseTriple) -> int:
 def enumerate_promise(n: int) -> Iterator[PromiseTriple]:
     """All 4^n promise triples of length n, lexicographic by column codes.
 
-    Column codes index LEGAL_COLUMNS; column 1 varies slowest.
+    Column codes index LEGAL_COLUMNS; column 1 varies slowest. n is checked at the call.
     """
     if not 1 <= n <= MAX_ENUM_LENGTH:
         raise ValueError(f"n must be in 1..{MAX_ENUM_LENGTH}, got {n}")
+    return _promise_triples(n)
+
+
+def _promise_triples(n: int) -> Iterator[PromiseTriple]:
     all_ones = (1 << n) - 1
     for combo in range(4**n):
         xb = yb = 0

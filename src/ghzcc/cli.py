@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 from typing import Any
@@ -255,6 +256,10 @@ def _build_parser() -> argparse.ArgumentParser:
     replay = sub.add_parser("replay", help="replay the elimination cases")
     replay.add_argument("--case", choices=sorted(lowerbound.CASES), default=None)
 
+    demo.set_defaults(run=lambda args: cmd_demo(args.n, args.seed))
+    verify.set_defaults(run=lambda args: cmd_verify(args.scope, args.n, args.seed))
+    search.set_defaults(run=lambda args: cmd_search(args.scope, args.workers, args.seed))
+    replay.set_defaults(run=lambda args: cmd_replay(args.case))
     for p in (demo, verify, search, replay):
         p.add_argument("--format", choices=("text", "machine"), default="text")
         p.add_argument("--out", default=None, help="write the report to a file")
@@ -273,6 +278,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--workers must be >= 1")
     if getattr(args, "seed", 0) < 0:  # random.Random(-s) would replay seed s
         parser.error("--seed must be >= 0")
+    created = bool(args.out) and not os.path.exists(args.out)
     if args.out:
         # An unwritable report path is a usage error, found before the command runs.
         # Mode "a" leaves an existing report whole until the final write.
@@ -281,14 +287,13 @@ def main(argv: list[str] | None = None) -> int:
         except OSError as exc:
             parser.error(f"cannot write --out {args.out}: {exc.strerror or exc}")
 
-    if args.command == "demo":
-        report = cmd_demo(args.n, args.seed)
-    elif args.command == "verify":
-        report = cmd_verify(args.scope, args.n, args.seed)
-    elif args.command == "search":
-        report = cmd_search(args.scope, args.workers, args.seed)
-    else:
-        report = cmd_replay(args.case)
+    try:
+        report = args.run(args)
+    except BaseException:
+        # A command that did not finish leaves no empty report behind.
+        if created:
+            os.remove(args.out)
+        raise
 
     rendered = (
         render_machine(report) if args.format == "machine" else render_text(report)

@@ -4,14 +4,17 @@ Amplitudes are kept in the ring of integer pairs (p, q) standing for
 p/2 + q/(2*sqrt(2)). The shared state and every state reachable from it by
 per-party Hadamards stay inside this representation, so "amplitude is zero"
 and "squared norm is one" are exact integer statements, not tolerances.
+
+A TripleState is a bitcore.FrozenValue, so no command imports dataclasses. It
+is checked, and its sampling table built, once: an inexact state raises
+ExactnessError when it is built, never at a draw.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
-from .bitcore import LEGAL_COLUMNS, InvariantViolation
+from .bitcore import LEGAL_COLUMNS, FrozenValue, InvariantViolation
 
 PARTIES = ("A", "B", "C")
 # Basis strings are read b_A b_B b_C, so party A owns the high bit.
@@ -36,41 +39,31 @@ def _weight(amp: Amp) -> int:
     return 2 * p * p + q * q
 
 
-@dataclass(frozen=True)
-class TripleState:
-    """Exact 3-qubit state: 8 (p, q) amplitude pairs indexed by basis string."""
+class TripleState(FrozenValue):
+    """Exact 3-qubit state: 8 (p, q) amplitude pairs indexed by basis string.
 
-    amps: tuple[Amp, ...]
+    _slots is eight equally likely outcomes: i fills weights[i], in basis order.
+    """
 
-    def __post_init__(self) -> None:
-        if len(self.amps) != 8:
-            raise ValueError(f"need 8 amplitudes, got {len(self.amps)}")
-        # Exact norm: sum p^2/4 + q^2/8 must be 1 and the sqrt(2) coefficient
-        # sum p_i*q_i must vanish.
-        cross = sum(p * q for p, q in self.amps)
-        rational = sum(2 * p * p + q * q for p, q in self.amps)
-        if cross != 0 or rational != 8:
-            raise ExactnessError(
-                f"squared norm is {rational}/8 + {cross}/(2*sqrt(2))*..., not exactly 1"
-            )
+    __slots__ = ("amps", "_slots")
+
+    def __init__(self, amps: tuple[Amp, ...]) -> None:
+        if len(amps) != 8:
+            raise ValueError(f"need 8 amplitudes, got {len(amps)}")
+        object.__setattr__(self, "amps", amps)
+        # weights refuses a mixed amplitude, so the squared norm is exactly
+        # total/8. It is checked first, so no table holds more than 8 slots.
+        weights = self.weights
+        total = sum(weights)
+        if total != 8:
+            raise ExactnessError(f"squared norm is {total}/8, not exactly 1")
+        slots = tuple(bits for bits, w in zip(_BITS, weights) for _ in range(w))
+        object.__setattr__(self, "_slots", slots)
 
     @property
     def weights(self) -> tuple[int, ...]:
         """The outcome law in eighths: basis outcome i has probability weights[i]/8."""
         return tuple(map(_weight, self.amps))
-
-    @cached_property
-    def _slots(self) -> tuple[tuple[int, int, int], ...]:
-        """Eight equally likely slots for sample_outcome, built on the first draw.
-
-        Outcome i fills weights[i] slots, in basis order. The norm check above
-        makes them total 8; a table of any other length is refused.
-        """
-        weights = self.weights
-        slots = tuple(bits for bits, w in zip(_BITS, weights) for _ in range(w))
-        if len(slots) != 8:
-            raise InvariantViolation(f"outcome weights {weights} fill {len(slots)} slots, not 8")
-        return slots
 
 
 def mermin_state() -> TripleState:

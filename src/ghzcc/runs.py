@@ -113,12 +113,14 @@ def verify_lemma1(report: Report) -> None:
     except _FAULTS as exc:
         exact, error = False, {"error": _fault_text(exc)}
     report.check("lemma1_001_exact_amplitudes", exact, **error)
-    involution = all(
-        qsim.apply_hadamard(qsim.apply_hadamard(qsim.mermin_state(), p), p)
-        == qsim.mermin_state()
-        for p in qsim.PARTIES
-    )
-    report.check("hadamard_involution", involution)
+    try:
+        state = qsim.mermin_state()
+        involution, error = all(
+            qsim.apply_hadamard(qsim.apply_hadamard(state, p), p) == state for p in qsim.PARTIES
+        ), {}
+    except _FAULTS as exc:
+        involution, error = False, {"error": _fault_text(exc)}
+    report.check("hadamard_involution", involution, **error)
 
 
 def verify_quantum(report: Report, n_max: int, seed: int) -> None:

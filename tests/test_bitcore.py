@@ -5,6 +5,7 @@ that never touch the packed integer representation under test.
 """
 
 import copy
+import itertools
 import os
 import pickle
 import random
@@ -18,6 +19,7 @@ from ghzcc.bitcore import (
     LEGAL_COLUMNS,
     MAX_TABLE_LENGTH,
     BitString,
+    FrozenValue,
     PromiseTriple,
     PromiseViolation,
     enumerate_promise,
@@ -211,8 +213,14 @@ class TestEnumeratePromise:
 
     @pytest.mark.parametrize("n", [0, -3, 17])
     def test_range_errors(self, n):
-        with pytest.raises(ValueError):
-            list(enumerate_promise(n))
+        # Raised by the call itself, before anything iterates the result.
+        with pytest.raises(ValueError, match=f"got {n}$"):
+            enumerate_promise(n)
+
+    def test_triples_are_built_as_iterated(self):
+        # 4^16 triples: a call that built them all would not return.
+        triples = enumerate_promise(16)
+        assert str(next(triples).z) == "1" * 16
 
 
 class TestRandomPromiseTriple:
@@ -261,6 +269,19 @@ for source in {[source for source, _ in BAD_VALUES]!r}:
 """
 
 
+_STAMPS = itertools.count()
+
+
+class Stamped(FrozenValue):
+    """A FrozenValue with one field and a derived slot that no field decides."""
+
+    __slots__ = ("value", "_stamp")
+
+    def __init__(self, value) -> None:
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "_stamp", next(_STAMPS))
+
+
 class TestValueTypes:
     """BitString and PromiseTriple behave as frozen values."""
 
@@ -304,6 +325,16 @@ class TestValueTypes:
             assert copy.copy(value) == value
             assert copy.deepcopy(value) == value
             assert pickle.loads(pickle.dumps(value)) == value
+
+    def test_derived_slots_are_not_fields(self):
+        # Two equal Stamped values differ in their derived "_stamp" slot.
+        first, second = Stamped(1), Stamped(1)
+        assert first._stamp < second._stamp
+        assert first == second and hash(first) == hash(second) == hash((1,))
+        assert repr(first) == "Stamped(value=1)"
+        # A copy or an unpickled value is rebuilt through __init__.
+        for copied in (copy.copy(first), pickle.loads(pickle.dumps(first))):
+            assert copied == first and copied._stamp > second._stamp
 
     def test_validation_error_texts(self, capsys):
         exec(CONSTRUCTION_ERRORS, {})

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -433,6 +434,18 @@ class TestMainEntry:
         report = target.read_text()
         assert report.startswith("# ghzcc replay") and "OLD REPORT" not in report
 
+    def test_new_out_is_removed_after_an_interrupted_command(self, tmp_path, monkeypatch):
+        target = tmp_path / "report.txt"
+
+        def interrupted(case):
+            assert target.exists()  # the pre-open made it
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "cmd_replay", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main(["replay", "--out", str(target)])
+        assert not target.exists()
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -661,6 +674,20 @@ def test_injected_fault_fails_verify_with_witness(
     assert not failed["passed"]
     assert failed["witness"]["triple"] == FIRST_TRIPLE
     assert failed["witness"]["reason"].startswith(reason)
+
+
+def test_an_inexact_law_fails_every_lemma1_check(monkeypatch, capsys):
+    # p^2 + q^2 puts the shared triple's norm at 4/8, so no state can be built;
+    # each check names the fault instead of the command raising it.
+    monkeypatch.setattr(qsim, "_weight", lambda amp: amp[0] ** 2 + amp[1] ** 2)
+    # A cache of its own, so no state built before or during the patch is reused.
+    monkeypatch.setattr(qsim, "transformed_state", lru_cache(qsim.transformed_state.__wrapped__))
+    assert main(["verify", "--scope", "lemma1", "--format", "machine"]) == EXIT_CHECK_FAILED
+    checks = machine_checks(capsys.readouterr().out)
+    assert len(checks) == 6
+    for check in checks.values():
+        assert not check["passed"]
+        assert check["error"] == "ExactnessError: squared norm is 4/8, not exactly 1"
 
 
 def test_miscount_reaches_the_three_bit_protocol(monkeypatch, capsys):

@@ -14,8 +14,10 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
+# Introspection, which no command needs: dataclasses loads inspect.
+REFLECTION = ("dataclasses", "inspect")
 # The layers that search and replay must never load.
-HEAVY = ("ghzcc.protocols", "ghzcc.qsim", "dataclasses", "ghzcc.runs")
+HEAVY = ("ghzcc.protocols", "ghzcc.qsim", "ghzcc.runs", *REFLECTION)
 # The lower-bound checker and the layer under it, which demo and verify
 # without cases must never load.
 LOWER = ("ghzcc.bounds", "ghzcc.lowerbound")
@@ -112,6 +114,12 @@ def test_demo_and_verify_without_cases_load_no_rational_arithmetic(run_isolation
     seen, _ = run_isolation
     for step in ["import ghzcc.cli", *RUN_STEPS[:-1]]:
         assert [m for m in seen[step][1] if m in RATIONAL] == [], step
+
+
+def test_demo_and_verify_without_cases_load_no_reflection(run_isolation):
+    seen, _ = run_isolation
+    for step in ["import ghzcc.cli", *RUN_STEPS[:-1]]:
+        assert [m for m in seen[step][1] if m in REFLECTION] == [], step
 
 
 def test_cases_and_all_load_lowerbound(run_isolation):
@@ -246,7 +254,8 @@ def test_every_public_name_has_a_package_reader():
 
 
 def record_fields(tree: ast.Module):
-    """(class node, field name) of each NamedTuple or dataclass field."""
+    """(class node, field name) of each NamedTuple or dataclass field and of
+    each public __slots__ name of a FrozenValue."""
     for node in ast.walk(tree):
         if not isinstance(node, ast.ClassDef):
             continue
@@ -256,6 +265,13 @@ def record_fields(tree: ast.Module):
             for item in node.body:
                 if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
                     yield node, item.target.id
+        if "FrozenValue" in bases:
+            for item in node.body:
+                if (isinstance(item, ast.Assign)
+                        and [ast.unparse(t) for t in item.targets] == ["__slots__"]):
+                    for name in ast.literal_eval(item.value):
+                        if not name.startswith("_"):
+                            yield node, name
 
 
 # Record fields that only the tests read, each with the reason it stays.
@@ -294,6 +310,14 @@ def test_every_record_field_has_a_reader():
             if not any(node.attr == field and id(node) not in inside for node in reads):
                 unread.append(f"{record.name}.{field}")
     assert sorted(unread) == sorted(READ_ONLY_BY_TESTS)
+
+
+def test_frozen_value_fields_are_records():
+    fields = {f"{record.name}.{field}"
+              for tree in parse_dir(ROOT / "src" / "ghzcc") for record, field in record_fields(tree)}
+    assert {"BitString.length", "BitString.bits", "PromiseTriple.x", "PromiseTriple.y",
+            "PromiseTriple.z", "TripleState.amps"} <= fields
+    assert not [field for field in fields if field.startswith("TripleState._")]
 
 
 def test_test_only_fields_are_read_by_tests():

@@ -1,14 +1,15 @@
 """Exact statevector behavior: amplitudes, Hadamards, supports, sampling."""
 
+import copy
 import itertools
 import math
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 
 from ghzcc import qsim
-from ghzcc.bitcore import InvariantViolation
 from ghzcc.qsim import (
     BASIS,
     ExactnessError,
@@ -80,7 +81,7 @@ class TestHadamard:
         for _ in range(40):
             state = mermin_state()
             for _ in range(rng.randrange(1, 12)):
-                # TripleState.__post_init__ re-checks exact unit norm.
+                # Building each TripleState re-checks exact unit norm.
                 state = apply_hadamard(state, rng.choice(PARTIES))
 
     def test_single_hadamard_spreads_to_eighths(self):
@@ -152,8 +153,8 @@ class TestLemma1:
 
 class TestExactRepresentation:
     def test_norm_enforced_at_construction(self):
-        with pytest.raises(ExactnessError):
-            TripleState(tuple([(1, 0)] * 8))  # squared norm 2
+        with pytest.raises(ExactnessError, match="squared norm is 16/8"):
+            TripleState(tuple([(1, 0)] * 8))
 
     def test_wrong_arity(self):
         with pytest.raises(ValueError):
@@ -161,28 +162,53 @@ class TestExactRepresentation:
 
     def test_mixed_amplitude_has_no_rational_probability(self):
         # (1,1) and (1,-1) cancel each other's sqrt(2) norm terms, so the
-        # state is exactly normalized, but each squared magnitude alone is
-        # irrational: its weights, and so its first draw, must refuse.
+        # state would be exactly normalized, but each squared magnitude alone
+        # is irrational: building the state must refuse.
         amps = [ZERO] * 8
         amps[0] = (1, 1)
         amps[1] = (1, -1)
         amps[2] = (1, 0)
-        state = TripleState(tuple(amps))
-        with pytest.raises(ExactnessError):
-            state.weights
-        with pytest.raises(ExactnessError):
-            sample_outcome(state, random.Random(0))
+        with pytest.raises(ExactnessError, match=r"amplitude \(1, 1\)"):
+            TripleState(tuple(amps))
 
     def test_hadamard_outside_closure_raises(self):
-        # Valid norm, but the C-pair (000, 001) has odd q-sum, so a C
-        # Hadamard cannot stay in the integer representation.
-        amps = [ZERO] * 8
-        amps[0] = (1, 1)
-        amps[1] = (1, 0)
-        amps[2] = (1, -1)
-        state = TripleState(tuple(amps))
-        with pytest.raises(ExactnessError):
+        # Valid norm (2 + 1 + 2 + 1 + 1 + 1 eighths), but the C-pair
+        # (000, 001) has odd q-sum, so a C Hadamard cannot stay in the
+        # integer representation.
+        amps = ((1, 0), (0, 1), (1, 0), (0, 1), (0, 1), (0, 1), ZERO, ZERO)
+        state = TripleState(amps)
+        with pytest.raises(ExactnessError, match="Hadamard on C"):
             apply_hadamard(state, "C")
+
+
+class TestValueSemantics:
+    """A TripleState is a frozen value of its amplitudes alone."""
+
+    @pytest.mark.parametrize("state", SAMPLED_STATES, ids=SAMPLED_IDS)
+    def test_copies_round_trip_the_slot_table(self, state):
+        for copied in (copy.copy(state), copy.deepcopy(state),
+                       pickle.loads(pickle.dumps(state))):
+            assert copied == state
+            assert copied._slots == state._slots
+
+    def test_equal_amplitudes_are_equal_values(self):
+        first, second = mermin_state(), mermin_state()
+        assert first is not second and first.amps is not second.amps
+        assert first == second and hash(first) == hash(second) == hash((first.amps,))
+        assert first != apply_hadamard(first, "A")
+        assert first != first.amps
+        assert len({first, second, transformed_state((1, 1, 1))}) == 1
+
+    def test_repr_shows_only_amps(self):
+        state = mermin_state()
+        assert repr(state) == f"TripleState(amps={state.amps!r})"
+
+    def test_fields_and_table_refuse_assignment(self):
+        state = mermin_state()
+        for name in ("amps", "_slots", "weights"):
+            with pytest.raises(AttributeError):
+                setattr(state, name, ())
+        assert state == mermin_state()
 
 
 class FixedDraw:
@@ -285,5 +311,5 @@ class TestSampling:
     def test_a_law_that_misses_eight_slots_is_refused(self, monkeypatch):
         # p^2 + q^2 drops a factor 2 on every half amplitude: 4 slots, not 8.
         monkeypatch.setattr(qsim, "_weight", lambda amp: amp[0] ** 2 + amp[1] ** 2)
-        with pytest.raises(InvariantViolation):
-            sample_outcome(mermin_state(), random.Random(0))
+        with pytest.raises(ExactnessError, match="squared norm is 4/8"):
+            mermin_state()
