@@ -134,8 +134,13 @@ def _compact(value: Any) -> str:
     return str(value)
 
 
-def _check_seed(seed: int) -> None:
-    # random.Random(-s) replays seed s, so a negative seed would head s's report.
+def _check_ints(seed: int, n: int = 1) -> None:
+    # A bool or float would head the report of the int it equals, and
+    # random.Random(-s) replays seed s, so each is refused before any work.
+    # A command without a length leaves n at its int default.
+    if type(n) is not int or type(seed) is not int:
+        name, value = ("n", n) if type(n) is not int else ("seed", seed)
+        raise TypeError(f"{name} must be an int, got {value!r}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
 
@@ -143,9 +148,10 @@ def _check_seed(seed: int) -> None:
 def cmd_demo(n: int, seed: int) -> Report:
     """Random promise triple through all three protocols, transcripts shown.
 
-    A negative seed raises ValueError before any run.
+    An n or seed that is not an int raises TypeError, and a negative seed
+    ValueError, before any run.
     """
-    _check_seed(seed)
+    _check_ints(seed, n)
     start = time.perf_counter()
     report = Report("demo", {"n": n, "seed": seed})
     _runs().demo(report, n, seed)
@@ -157,13 +163,14 @@ def cmd_verify(scope: str, n: int, seed: int) -> Report:
     """Exhaustive checks for the chosen scope; any failure flips the exit code.
 
     An unknown scope, n outside 1..MAX_VERIFY_N or a negative seed raises
-    ValueError before any check runs.
+    ValueError, and an n or seed that is not an int TypeError, before any
+    check runs.
     """
     if scope not in VERIFY_SCOPES:
         raise ValueError(f"unknown verify scope {scope!r}; know {list(VERIFY_SCOPES)}")
+    _check_ints(seed, n)
     if not 1 <= n <= MAX_VERIFY_N:
         raise ValueError(f"verify n must be in 1..{MAX_VERIFY_N}, got {n}")
-    _check_seed(seed)
     start = time.perf_counter()
     report = Report("verify", {"scope": scope, "n": n, "seed": seed})
     if scope in ("lemma1", "all"):
@@ -183,12 +190,12 @@ def cmd_verify(scope: str, n: int, seed: int) -> Report:
 def cmd_search(scope: str, workers: int, seed: int) -> Report:
     """Run the selected lower-bound search and report the feasible count.
 
-    An unknown scope or a negative seed raises ValueError before any search
-    runs.
+    An unknown scope or a negative seed raises ValueError, and a seed that is
+    not an int TypeError, before any search runs.
     """
     if scope not in SEARCH_SCOPES:
         raise ValueError(f"unknown search scope {scope!r}; know {list(SEARCH_SCOPES)}")
-    _check_seed(seed)
+    _check_ints(seed)
     from . import bounds
 
     start = time.perf_counter()

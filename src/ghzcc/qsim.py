@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .bitcore import LEGAL_COLUMNS, FrozenValue, InvariantViolation
+from .bitcore import FrozenValue
 
 PARTIES = ("A", "B", "C")
 # Basis strings are read b_A b_B b_C, so party A owns the high bit.
@@ -50,7 +50,8 @@ class TripleState(FrozenValue):
     def __init__(self, amps: tuple[Amp, ...]) -> None:
         if len(amps) != 8:
             raise ValueError(f"need 8 amplitudes, got {len(amps)}")
-        object.__setattr__(self, "amps", amps)
+        # Stored as tuples, so a state built from lists is still a hashable value.
+        object.__setattr__(self, "amps", tuple(map(tuple, amps)))
         # weights refuses a mixed amplitude, so the squared norm is exactly
         # total/8. It is checked first, so no table holds more than 8 slots.
         weights = self.weights
@@ -107,31 +108,6 @@ def transformed_state(column: tuple[int, int, int]) -> TripleState:
         if bit == 0:
             state = apply_hadamard(state, party)
     return state
-
-
-def support(state: TripleState) -> set[str]:
-    """Basis strings with exactly nonzero amplitude."""
-    return {BASIS[i] for i, amp in enumerate(state.amps) if amp != (0, 0)}
-
-
-def check_lemma1(column: tuple[int, int, int]) -> int:
-    """Verify the joint-outcome parity law for one legal column.
-
-    Every basis string that can be measured (nonzero amplitude) after the
-    conditional Hadamards has bit-XOR equal to the AND of the column. Returns
-    that AND; an InvariantViolation means the simulator itself is broken.
-    """
-    xa, xb, xc = column
-    if column not in LEGAL_COLUMNS:
-        raise ValueError(f"column {column} violates the promise")
-    target = xa & xb & xc
-    for b in support(transformed_state(column)):
-        got = b.count("1") & 1
-        if got != target:
-            raise InvariantViolation(
-                f"support string {b} has parity {got}, expected {target} for column {column}"
-            )
-    return target
 
 
 def sample_outcome(state: TripleState, rng) -> tuple[int, int, int]:

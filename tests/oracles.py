@@ -5,13 +5,13 @@ computes another way: explicit candidates against the search counts, a
 per-class response count against the 2-coloring check, a two-bit count
 that evaluates both branches of every first message apart, the two-party
 reduction behind the imported inner-product fact, a cross-protocol
-agreement check, each 3-qubit state's exact outcome law read from its
-amplitudes against qsim's integer weights, the quantum protocol's full
-output support, an exact simulator of the whole 3n-qubit state the parties
-share, the float threshold scan that the eight-slot sampler is checked
-against, the string form of the bit-position permutation and a partition
-coverage check built on it, and the machine renderer that walks every value
-before encoding each record with a new encoder.
+agreement check, each 3-qubit state's exact outcome law and its support
+read from its amplitudes against qsim's integer weights, the quantum
+protocol's full output support, an exact simulator of the whole 3n-qubit
+state the parties share, the float threshold scan that the eight-slot
+sampler is checked against, the string form of the bit-position permutation
+and a partition coverage check built on it, and the machine renderer that
+walks every value before encoding each record with a new encoder.
 
 It also holds code that no command runs: a triple's column list and
 per-party zero counts, and the two-party parity and inner-product
@@ -170,6 +170,11 @@ def outcome_law(state: TripleState) -> tuple[tuple[Bits, Fraction], ...]:
         if probability:
             law.append(((i >> 2 & 1, i >> 1 & 1, i & 1), probability))
     return tuple(law)
+
+
+def support(state: TripleState) -> set[str]:
+    """Basis strings with an exactly nonzero amplitude, read from amps, not weights."""
+    return {format(i, "03b") for i, amp in enumerate(state.amps) if amp != (0, 0)}
 
 
 def quantum_output_support(t: PromiseTriple) -> set[int]:

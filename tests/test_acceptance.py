@@ -31,8 +31,8 @@ from ghzcc.protocols import (
     run_classical_three_bit,
     run_quantum_two_bit,
 )
-from ghzcc.qsim import support, transformed_state
-from oracles import count_summary, uncovered
+from ghzcc.qsim import transformed_state
+from oracles import count_summary, support, uncovered
 
 SEEDS = list(range(10))
 RANDOM_LENGTHS = range(4, 11)

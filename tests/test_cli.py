@@ -149,6 +149,23 @@ def test_negative_seed_raises_before_any_work(command, args, monkeypatch):
         command(*args)
 
 
+@pytest.mark.parametrize(
+    "command, args, name",
+    [(cmd_demo, (5, True), "seed"), (cmd_demo, (5, 1.0), "seed"), (cmd_demo, (5.0, 1), "n"),
+     (cmd_verify, ("lemma1", 2, True), "seed"), (cmd_verify, ("lemma1", 2.0, 0), "n"),
+     (cmd_verify, ("lemma1", True, 0), "n"), (cmd_search, ("paper", 1, 1.0), "seed"),
+     (cmd_search, ("paper", 1, False), "seed")],
+    ids=["demo-bool-seed", "demo-float-seed", "demo-float-n", "verify-bool-seed",
+         "verify-float-n", "verify-bool-n", "search-float-seed", "search-bool-seed"],
+)
+def test_non_int_seed_or_length_raises_before_any_work(command, args, name, monkeypatch):
+    # main's argparse passes only ints, but an in-process caller could head
+    # seed 1's report with "seed": true or 1.0.
+    monkeypatch.setattr(cli, "Report", lambda *a: pytest.fail("command ran"))
+    with pytest.raises(TypeError, match=f"^{name} must be an int, got "):
+        command(*args)
+
+
 class TestReplay:
     def test_all_cases(self):
         report = cmd_replay(None)
@@ -481,7 +498,7 @@ class TestMainEntry:
         def broken(column):
             raise InvariantViolation("forced failure for the exit-code contract")
 
-        monkeypatch.setattr(qsim, "check_lemma1", broken)
+        monkeypatch.setattr(qsim, "transformed_state", broken)
         assert main(["verify", "--scope", "lemma1"]) == EXIT_CHECK_FAILED
         assert "FAIL" in capsys.readouterr().out
 
@@ -584,6 +601,22 @@ def test_lemma1_state_fault_is_a_failed_check(fault, monkeypatch, capsys):
         assert check["error"].startswith(fault.__name__ + ": forced fault")
     assert not checks["lemma1_001_exact_amplitudes"]["passed"]
     assert checks["hadamard_involution"]["passed"]
+
+
+def test_a_wrong_parity_outcome_is_named(monkeypatch, capsys):
+    # Every column left as the shared triple: its odd-parity outcomes are
+    # wrong for the three columns whose AND is 0, and right for 111.
+    monkeypatch.setattr(qsim, "transformed_state", lambda column: qsim.mermin_state())
+    assert main(["verify", "--scope", "lemma1", "--format", "machine"]) == EXIT_CHECK_FAILED
+    checks = machine_checks(capsys.readouterr().out)
+    odd = ["001", "010", "100", "111"]
+    for label in ("001", "010", "100"):
+        check = checks[f"lemma1_column_{label}"]
+        assert not check["passed"]
+        assert (check["product"], check["support"], check["wrong_parity"]) == (0, odd, odd)
+        assert "error" not in check
+    assert checks["lemma1_column_111"] == {"name": "lemma1_column_111", "passed": True,
+                                           "product": 1, "support": odd, "type": "check"}
 
 
 # Fault injection. Each fault wraps the real transcript engine, so the

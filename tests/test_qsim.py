@@ -16,13 +16,11 @@ from ghzcc.qsim import (
     PARTIES,
     TripleState,
     apply_hadamard,
-    check_lemma1,
     mermin_state,
     sample_outcome,
-    support,
     transformed_state,
 )
-from oracles import basis, outcome_law, sample_by_thresholds
+from oracles import basis, outcome_law, sample_by_thresholds, support
 
 LEGAL_COLUMNS = ((0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 1, 1))
 # The shared triple and the four states a column is drawn from.
@@ -122,8 +120,8 @@ class TestTransformedState:
             assert b.count("1") % 2 == 0
 
     def test_illegal_columns_still_simulate(self):
-        # Exploration outside the promise is allowed here; only the parity
-        # law check is strict about legal columns.
+        # Exploration outside the promise is allowed here; only verify's
+        # lemma1 section keeps to legal columns.
         state = transformed_state((0, 0, 0))
         assert sum(probability(state, b) for b in support(state)) == 1
 
@@ -133,22 +131,19 @@ class TestTransformedState:
 
 
 class TestLemma1:
-    @pytest.mark.parametrize(
-        "column,product",
-        [((1, 1, 1), 1), ((0, 0, 1), 0), ((0, 1, 0), 0), ((1, 0, 0), 0)],
-    )
-    def test_parity_law(self, column, product):
-        assert check_lemma1(column) == product
+    """The per-column parity law, against the support read from amplitudes."""
 
     def test_support_parity_is_exhaustive_not_statistical(self):
         for column in LEGAL_COLUMNS:
             target = column[0] & column[1] & column[2]
-            for b in support(transformed_state(column)):
-                assert b.count("1") % 2 == target
+            strings = support(transformed_state(column))
+            assert len(strings) == 4
+            assert {b.count("1") % 2 for b in strings} == {target}
 
-    def test_illegal_column_rejected(self):
-        with pytest.raises(ValueError):
-            check_lemma1((0, 1, 1))
+    def test_weights_and_amplitudes_give_one_support(self):
+        for column in LEGAL_COLUMNS:
+            state = transformed_state(column)
+            assert {b for b, w in zip(BASIS, state.weights) if w} == support(state)
 
 
 class TestExactRepresentation:
@@ -202,6 +197,14 @@ class TestValueSemantics:
     def test_repr_shows_only_amps(self):
         state = mermin_state()
         assert repr(state) == f"TripleState(amps={state.amps!r})"
+
+    def test_a_state_built_from_lists_is_the_same_value(self):
+        state = mermin_state()
+        listed = TripleState([list(amp) for amp in state.amps])
+        assert listed.amps == state.amps and isinstance(listed.amps, tuple)
+        assert listed == state and hash(listed) == hash(state)
+        assert pickle.loads(pickle.dumps(listed)) == state
+        assert TripleState(list(state.amps)) == state
 
     def test_fields_and_table_refuse_assignment(self):
         state = mermin_state()
