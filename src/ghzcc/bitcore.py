@@ -75,7 +75,7 @@ class BitString(FrozenValue):
     __slots__ = ("length", "bits")
 
     def __init__(self, length: int, bits: int) -> None:
-        if not 1 <= length <= MAX_LENGTH:
+        if type(length) is not int or not 1 <= length <= MAX_LENGTH:
             raise ValueError(f"length must be in 1..{MAX_LENGTH}, got {length}")
         if not 0 <= bits < (1 << length):
             raise ValueError(f"bits 0x{bits:x} has set bits above length {length}")
@@ -146,7 +146,7 @@ def enumerate_promise(n: int) -> Iterator[PromiseTriple]:
 
     Column codes index LEGAL_COLUMNS; column 1 varies slowest. n is checked at the call.
     """
-    if not 1 <= n <= MAX_ENUM_LENGTH:
+    if type(n) is not int or not 1 <= n <= MAX_ENUM_LENGTH:
         raise ValueError(f"n must be in 1..{MAX_ENUM_LENGTH}, got {n}")
     return _promise_triples(n)
 
@@ -166,7 +166,7 @@ def _promise_triples(n: int) -> Iterator[PromiseTriple]:
 
 def random_promise_triple(n: int, rng) -> PromiseTriple:
     """Uniform random promise triple: each column drawn from LEGAL_COLUMNS."""
-    if not 1 <= n <= MAX_LENGTH:
+    if type(n) is not int or not 1 <= n <= MAX_LENGTH:
         raise ValueError(f"n must be in 1..{MAX_LENGTH}, got {n}")
     # LEGAL_COLUMNS[c] has x_i = c >> 1 and y_i = c & 1; z follows from the promise.
     # A code is what CPython's rng.randrange(4) returns: getrandbits(3), drawn

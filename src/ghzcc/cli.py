@@ -50,10 +50,12 @@ def _runs():
 class Report:
     """One command's checks and notes, rendered by render_machine or render_text.
 
-    Each entry is held as its final machine record, "type" key included.
+    Each entry is held as its final machine record, "type" key included. The
+    report's clock starts when it is made, and finish() stops it.
     """
 
     def __init__(self, command: str, params: dict[str, Any]) -> None:
+        self._start = time.perf_counter()
         self.command = command
         self.params = params
         self.checks: list[dict[str, Any]] = []
@@ -74,6 +76,11 @@ class Report:
 
     def note(self, kind: str, **detail: Any) -> None:
         self.info.append({"type": "info", "kind": kind, **detail})
+
+    def finish(self) -> Report:
+        """Store the seconds since this report was made as elapsed_s, and return it."""
+        self.elapsed_s = time.perf_counter() - self._start
+        return self
 
 
 # json.dumps(..., sort_keys=True) with no cycle check and one C encoder per
@@ -134,12 +141,12 @@ def _compact(value: Any) -> str:
     return str(value)
 
 
-def _check_ints(seed: int, n: int = 1) -> None:
-    # A bool or float would head the report of the int it equals, and
-    # random.Random(-s) replays seed s, so each is refused before any work.
-    # A command without a length leaves n at its int default.
+def _check_ints(seed: int, n: int = 1, n_name: str = "n") -> None:
+    # A bool or float would head the report of the int it equals, and random.Random(-s)
+    # replays seed s, so each is refused before any work. n is a length, or search's
+    # worker count (n_name "workers"); a command with neither leaves it at 1.
     if type(n) is not int or type(seed) is not int:
-        name, value = ("n", n) if type(n) is not int else ("seed", seed)
+        name, value = (n_name, n) if type(n) is not int else ("seed", seed)
         raise TypeError(f"{name} must be an int, got {value!r}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
@@ -152,11 +159,9 @@ def cmd_demo(n: int, seed: int) -> Report:
     ValueError, before any run.
     """
     _check_ints(seed, n)
-    start = time.perf_counter()
     report = Report("demo", {"n": n, "seed": seed})
     _runs().demo(report, n, seed)
-    report.elapsed_s = time.perf_counter() - start
-    return report
+    return report.finish()
 
 
 def cmd_verify(scope: str, n: int, seed: int) -> Report:
@@ -171,7 +176,6 @@ def cmd_verify(scope: str, n: int, seed: int) -> Report:
     _check_ints(seed, n)
     if not 1 <= n <= MAX_VERIFY_N:
         raise ValueError(f"verify n must be in 1..{MAX_VERIFY_N}, got {n}")
-    start = time.perf_counter()
     report = Report("verify", {"scope": scope, "n": n, "seed": seed})
     if scope in ("lemma1", "all"):
         _runs().verify_lemma1(report)
@@ -183,26 +187,23 @@ def cmd_verify(scope: str, n: int, seed: int) -> Report:
         from . import bounds
 
         bounds.verify_cases(report)
-    report.elapsed_s = time.perf_counter() - start
-    return report
+    return report.finish()
 
 
 def cmd_search(scope: str, workers: int, seed: int) -> Report:
     """Run the selected lower-bound search and report the feasible count.
 
-    An unknown scope or a negative seed raises ValueError, and a seed that is
-    not an int TypeError, before any search runs.
+    An unknown scope or a negative seed raises ValueError, and a seed or
+    worker count that is not an int TypeError, before any search runs.
     """
     if scope not in SEARCH_SCOPES:
         raise ValueError(f"unknown search scope {scope!r}; know {list(SEARCH_SCOPES)}")
-    _check_ints(seed)
+    _check_ints(seed, workers, "workers")
     from . import bounds
 
-    start = time.perf_counter()
     report = Report("search", {"scope": scope, "workers": workers, "seed": seed})
     bounds.search(report, scope, workers)
-    report.elapsed_s = time.perf_counter() - start
-    return report
+    return report.finish()
 
 
 def cmd_replay(case: str | None) -> Report:
@@ -212,11 +213,9 @@ def cmd_replay(case: str | None) -> Report:
     """
     from . import bounds
 
-    start = time.perf_counter()
     report = Report("replay", {"case": "all" if case is None else case, "seed": 0})
     bounds.replay(report, case)
-    report.elapsed_s = time.perf_counter() - start
-    return report
+    return report.finish()
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -7,14 +7,14 @@ and "squared norm is one" are exact integer statements, not tolerances.
 
 A TripleState is a bitcore.FrozenValue, so no command imports dataclasses. It
 is checked, and its sampling table built, once: an inexact state raises
-ExactnessError when it is built, never at a draw.
+InvariantViolation, the package's one fault type, when built, never at a draw.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .bitcore import FrozenValue
+from .bitcore import FrozenValue, InvariantViolation
 
 PARTIES = ("A", "B", "C")
 # Basis strings are read b_A b_B b_C, so party A owns the high bit.
@@ -26,16 +26,12 @@ _BITS = tuple((i >> 2, i >> 1 & 1, i & 1) for i in range(8))
 Amp = tuple[int, int]
 
 
-class ExactnessError(ArithmeticError):
-    """A state left the exact (p, q) representation; caller bug."""
-
-
 def _weight(amp: Amp) -> int:
     """8 |amp|^2 = 2p^2 + q^2: the outcome's probability in eighths."""
     p, q = amp
     if p and q:
         # |p/2 + q/(2*sqrt(2))|^2 has an irrational cross term.
-        raise ExactnessError(f"amplitude {amp} has no rational squared magnitude")
+        raise InvariantViolation(f"amplitude {amp} has no rational squared magnitude")
     return 2 * p * p + q * q
 
 
@@ -52,12 +48,12 @@ class TripleState(FrozenValue):
             raise ValueError(f"need 8 amplitudes, got {len(amps)}")
         # Stored as tuples, so a state built from lists is still a hashable value.
         object.__setattr__(self, "amps", tuple(map(tuple, amps)))
-        # weights refuses a mixed amplitude, so the squared norm is exactly
-        # total/8. It is checked first, so no table holds more than 8 slots.
+        # weights raises InvariantViolation on a mixed amplitude, so the squared norm
+        # is exactly total/8. It is checked first, so no table holds more than 8 slots.
         weights = self.weights
         total = sum(weights)
         if total != 8:
-            raise ExactnessError(f"squared norm is {total}/8, not exactly 1")
+            raise InvariantViolation(f"squared norm is {total}/8, not exactly 1")
         slots = tuple(bits for bits, w in zip(_BITS, weights) for _ in range(w))
         object.__setattr__(self, "_slots", slots)
 
@@ -92,7 +88,7 @@ def apply_hadamard(state: TripleState, party: str) -> TripleState:
         pb, qb = state.amps[j]
         # (a +- b)/sqrt(2) in the (p, q) ring: p' = (q_a +- q_b)/2, q' = p_a +- p_b.
         if (qa + qb) & 1:
-            raise ExactnessError(f"Hadamard on {party} leaves the exact representation")
+            raise InvariantViolation(f"Hadamard on {party} leaves the exact representation")
         new[i] = ((qa + qb) // 2, pa + pb)
         new[j] = ((qa - qb) // 2, pa - pb)
     return TripleState(tuple(new))

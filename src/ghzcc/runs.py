@@ -21,15 +21,11 @@ from . import bitcore, protocols, qsim
 if TYPE_CHECKING:
     from .cli import Report
 
-# A law of the package failing at run time: the check it hits fails and names it.
-_FAULTS = (bitcore.InvariantViolation, qsim.ExactnessError)
-
-
 def _attempt(compute, *args) -> tuple[Any, dict]:
     """compute(*args) and {}, or None and an "error" naming the fault that stopped it."""
     try:
         return compute(*args), {}
-    except _FAULTS as exc:
+    except bitcore.InvariantViolation as exc:  # a package law failed: the check names it
         return None, {"error": f"{type(exc).__name__}: {exc}"}
 
 

@@ -1,0 +1,132 @@
+"""A seeded mutation catalogue: each entry breaks the package on purpose and
+names the tests that must catch it.
+
+    python tests/mutants.py
+
+copies src, tests and pyproject.toml into a temporary directory (all three:
+pyproject.toml's pythonpath = ["src"] would otherwise put the unmutated src
+first). For each entry it applies the one replacement there, runs
+`python -m pytest -q -x -p no:cacheprovider <test ids>`, and restores the
+file. A run that fails a test (exit 1) or stops on a collection error (exit 2)
+kills the mutant. The script exits 1 naming every mutant whose run exits 0,
+and every entry whose snippet does not occur exactly once or whose run exits
+with any other code (an unknown test id exits 4).
+
+tests/test_mutants.py checks, without running any mutant, that each snippet
+occurs exactly once and that each test id names an existing test function.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+JOINT_LAW = ("tests/test_protocols.py::TestJointState::"
+             "test_joint_law_is_the_product_of_the_column_laws")
+
+# (file, exact snippet, replacement, test ids that must fail).
+MUTANTS = (
+    # 8|amp|^2 read as p^2 + q^2: the shared triple's norm becomes 4/8.
+    ("src/ghzcc/qsim.py", "return 2 * p * p + q * q", "return p * p + q * q",
+     ["tests/test_cli.py::TestVerify::test_lemma1_scope"]),
+    # The shared triple without its one minus sign.
+    ("src/ghzcc/qsim.py", "amps[0b111] = (-1, 0)", "amps[0b111] = (1, 0)",
+     [JOINT_LAW]),
+    # Each party applies its Hadamard on input 1 instead of 0.
+    ("src/ghzcc/qsim.py", "if bit == 0:", "if bit == 1:",
+     [JOINT_LAW]),
+    # A draw rounds into 7 slots instead of flooring into 8.
+    ("src/ghzcc/qsim.py", "int(rng.random() * 8)", "round(rng.random() * 7)",
+     ["tests/test_qsim.py::TestSampling::test_slots_draw_as_the_threshold_scan"]),
+    # The audit no longer counts records against scheduled steps.
+    ("src/ghzcc/protocols.py", "if len(bits) != len(result.steps):", "if False:",
+     ["tests/test_protocols.py::TestAudit::test_transcript_shows_an_unscheduled_bit"]),
+    # A fault outside the one package fault type escapes the run checker.
+    ("src/ghzcc/runs.py", "except bitcore.InvariantViolation as exc:",
+     "except ValueError as exc:",
+     ["tests/test_cli.py::test_lemma1_state_fault_is_a_failed_check",
+      "tests/test_cli.py::test_an_inexact_law_fails_every_lemma1_check"]),
+    # Every listed case value passes replay.
+    ("src/ghzcc/lowerbound.py", "ok = got == expected == packed", "ok = True",
+     ["tests/test_lowerbound.py::TestCaseReplay::test_mutated_case_fails_replay"]),
+    # The third word without the promise's all-ones column.
+    ("src/ghzcc/lowerbound.py", "return x ^ y ^ ALL3", "return x ^ y",
+     ["tests/test_lowerbound.py::TestTwoPartySearches::"
+      "test_ip3_is_the_carol_free_blackboard_slice"]),
+    # An in-process demo compiles the lower-bound code.
+    ("src/ghzcc/cli.py", "from . import bitcore\n", "from . import bitcore, lowerbound\n",
+     ["tests/test_package.py::test_demo_and_verify_without_cases_load_no_lowerbound"]),
+    # The report clock is never read at the end.
+    ("src/ghzcc/cli.py", "self.elapsed_s = time.perf_counter() - self._start",
+     "self.elapsed_s = 0.0",
+     ["tests/test_cli.py::test_elapsed_is_the_report_clock_from_creation_to_finish"]),
+    # The timing record loses a decimal place.
+    ("src/ghzcc/cli.py", "round(report.elapsed_s, 6)", "round(report.elapsed_s, 5)",
+     ["tests/test_cli.py::TestRenderOracle::test_timing_line_is_json_dumps"]),
+    # Seed -1 slips past the in-process check.
+    ("src/ghzcc/cli.py", "if seed < 0:", "if seed < -1:",
+     ["tests/test_cli.py::test_negative_seed_raises_before_any_work"]),
+    # A bool or float worker count heads a search report.
+    ("src/ghzcc/cli.py", '_check_ints(seed, workers, "workers")', "_check_ints(seed)",
+     ["tests/test_cli.py::test_non_int_seed_or_length_raises_before_any_work"]),
+    # A bool length builds a word that cannot be printed.
+    ("src/ghzcc/bitcore.py", "if type(length) is not int or not 1 <= length",
+     "if not 1 <= length",
+     ["tests/test_bitcore.py::test_a_length_that_is_not_an_int_is_refused"]),
+    # The column promise is never checked.
+    ("src/ghzcc/bitcore.py", "bad = (x.bits ^ y.bits ^ z.bits) ^ all_ones", "bad = 0",
+     ["tests/test_bitcore.py::TestPromiseTriple::test_bad_columns_rejected"]),
+    # The target function reads x AND y OR z.
+    ("src/ghzcc/bitcore.py", "(t.x.bits & t.y.bits & t.z.bits)",
+     "(t.x.bits & t.y.bits | t.z.bits)",
+     ["tests/test_bitcore.py::TestGhzFunction::test_matches_string_oracle_n3"]),
+)
+
+
+def main() -> int:
+    faults = []
+    start = time.perf_counter()
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        for name in ("src", "tests"):
+            shutil.copytree(ROOT / name, work / name,
+                            ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copy2(ROOT / "pyproject.toml", work)
+        # No bytecode: a restored file of the mutant's size, written in the same
+        # second, would otherwise load the mutant's cached .pyc.
+        env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPATH": str(work / "src")}
+        for path, snippet, replacement, tests in MUTANTS:
+            label = f"{path}: {snippet.strip()!r} -> {replacement.strip()!r}"
+            target = work / path
+            original = target.read_text()
+            if original.count(snippet) != 1:
+                faults.append(f"snippet occurs {original.count(snippet)} times: {label}")
+                continue
+            target.write_text(original.replace(snippet, replacement))
+            try:
+                code = subprocess.run(
+                    [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
+                    cwd=work, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+                ).returncode
+            finally:
+                target.write_text(original)
+            verdict = {0: "SURVIVED", 1: "killed", 2: "killed"}.get(code, f"pytest exit {code}")
+            print(f"{verdict}: {label}", flush=True)
+            if verdict != "killed":
+                faults.append(f"{verdict}: {label}")
+    killed = len(MUTANTS) - len(faults)
+    print(f"{killed} of {len(MUTANTS)} mutants killed in {time.perf_counter() - start:.1f}s")
+    for fault in faults:
+        print(f"FAIL {fault}", file=sys.stderr)
+    return 1 if faults else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -242,6 +242,21 @@ class TestRandomPromiseTriple:
         assert t.length == 32
 
 
+@pytest.mark.parametrize("n", [True, 1.0], ids=["bool", "float"])
+@pytest.mark.parametrize(
+    "build, text",
+    [(lambda n: BitString(n, 1), "length must be in 1..32"),
+     (enumerate_promise, "n must be in 1..16"),
+     (lambda n: random_promise_triple(n, random.Random(0)), "n must be in 1..32")],
+    ids=["BitString", "enumerate_promise", "random_promise_triple"],
+)
+def test_a_length_that_is_not_an_int_is_refused(build, text, n):
+    # True equals 1 and passes a range check, yet str(BitString(True, 1))
+    # raises on the format spec "0Trueb": a length must be an int itself.
+    with pytest.raises(ValueError, match=f"^{text}, got {n}$"):
+        build(n)
+
+
 # Each bad construction with the error it raises, type and text.
 BAD_VALUES = (
     ("BitString(0, 0)", "ValueError: length must be in 1..32, got 0"),

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from functools import lru_cache
 from pathlib import Path
 
@@ -154,16 +155,57 @@ def test_negative_seed_raises_before_any_work(command, args, monkeypatch):
     [(cmd_demo, (5, True), "seed"), (cmd_demo, (5, 1.0), "seed"), (cmd_demo, (5.0, 1), "n"),
      (cmd_verify, ("lemma1", 2, True), "seed"), (cmd_verify, ("lemma1", 2.0, 0), "n"),
      (cmd_verify, ("lemma1", True, 0), "n"), (cmd_search, ("paper", 1, 1.0), "seed"),
-     (cmd_search, ("paper", 1, False), "seed")],
+     (cmd_search, ("paper", 1, False), "seed"), (cmd_search, ("ip3", True, 0), "workers"),
+     (cmd_search, ("ip3", 2.5, 0), "workers")],
     ids=["demo-bool-seed", "demo-float-seed", "demo-float-n", "verify-bool-seed",
-         "verify-float-n", "verify-bool-n", "search-float-seed", "search-bool-seed"],
+         "verify-float-n", "verify-bool-n", "search-float-seed", "search-bool-seed",
+         "search-bool-workers", "search-float-workers"],
 )
 def test_non_int_seed_or_length_raises_before_any_work(command, args, name, monkeypatch):
     # main's argparse passes only ints, but an in-process caller could head
-    # seed 1's report with "seed": true or 1.0.
+    # seed 1's report with "seed": true or 1.0, or a search's with "workers": true.
     monkeypatch.setattr(cli, "Report", lambda *a: pytest.fail("command ran"))
     with pytest.raises(TypeError, match=f"^{name} must be an int, got "):
         command(*args)
+
+
+@pytest.mark.parametrize(
+    "command, args",
+    [(cmd_demo, (3, 0)), (cmd_verify, ("lemma1", 1, 0)), (cmd_search, ("ip3", 1, 0)),
+     (cmd_replay, ("2.2.1",))],
+    ids=["demo", "verify", "search", "replay"],
+)
+def test_elapsed_is_the_report_clock_from_creation_to_finish(command, args, monkeypatch):
+    # Reading k of the fake clock is k * k seconds, so each pair of readings has
+    # its own difference.
+    readings = []
+
+    def clock():
+        readings.append(len(readings) ** 2)
+        return float(readings[-1])
+
+    stamps = {}
+
+    class Stamped(cli.Report):
+        # Each clock reading taken inside __init__ and finish, by method name.
+        def __init__(self, *args):
+            before = len(readings)
+            super().__init__(*args)
+            stamps["__init__"] = readings[before:]
+
+        def finish(self):
+            before = len(readings)
+            report = super().finish()
+            stamps["finish"] = readings[before:]
+            return report
+
+    monkeypatch.setattr(time, "perf_counter", clock)
+    monkeypatch.setattr(cli, "Report", Stamped)
+    report = command(*args)
+    assert report.passed
+    [start], [end] = stamps["__init__"], stamps["finish"]
+    assert end > start
+    assert report.elapsed_s == end - start
 
 
 class TestReplay:
@@ -587,10 +629,9 @@ def test_demo_audits_each_run_once(monkeypatch):
     assert len({id(result) for result in calls}) == 3
 
 
-@pytest.mark.parametrize("fault", [qsim.ExactnessError, InvariantViolation])
-def test_lemma1_state_fault_is_a_failed_check(fault, monkeypatch, capsys):
+def test_lemma1_state_fault_is_a_failed_check(monkeypatch, capsys):
     def broken(column):
-        raise fault(f"forced fault for {column}")
+        raise InvariantViolation(f"forced fault for {column}")
 
     monkeypatch.setattr(qsim, "transformed_state", broken)
     assert main(["verify", "--scope", "lemma1", "--format", "machine"]) == EXIT_CHECK_FAILED
@@ -598,7 +639,7 @@ def test_lemma1_state_fault_is_a_failed_check(fault, monkeypatch, capsys):
     for label in ("001", "010", "100", "111"):
         check = checks[f"lemma1_column_{label}"]
         assert not check["passed"]
-        assert check["error"].startswith(fault.__name__ + ": forced fault")
+        assert check["error"].startswith("InvariantViolation: forced fault")
     assert not checks["lemma1_001_exact_amplitudes"]["passed"]
     assert checks["hadamard_involution"]["passed"]
 
@@ -720,7 +761,7 @@ def test_an_inexact_law_fails_every_lemma1_check(monkeypatch, capsys):
     assert len(checks) == 6
     for check in checks.values():
         assert not check["passed"]
-        assert check["error"] == "ExactnessError: squared norm is 4/8, not exactly 1"
+        assert check["error"] == "InvariantViolation: squared norm is 4/8, not exactly 1"
 
 
 def test_miscount_reaches_the_three_bit_protocol(monkeypatch, capsys):

@@ -10,9 +10,9 @@ from fractions import Fraction
 import pytest
 
 from ghzcc import qsim
+from ghzcc.bitcore import InvariantViolation
 from ghzcc.qsim import (
     BASIS,
-    ExactnessError,
     PARTIES,
     TripleState,
     apply_hadamard,
@@ -148,7 +148,7 @@ class TestLemma1:
 
 class TestExactRepresentation:
     def test_norm_enforced_at_construction(self):
-        with pytest.raises(ExactnessError, match="squared norm is 16/8"):
+        with pytest.raises(InvariantViolation, match="squared norm is 16/8"):
             TripleState(tuple([(1, 0)] * 8))
 
     def test_wrong_arity(self):
@@ -163,7 +163,7 @@ class TestExactRepresentation:
         amps[0] = (1, 1)
         amps[1] = (1, -1)
         amps[2] = (1, 0)
-        with pytest.raises(ExactnessError, match=r"amplitude \(1, 1\)"):
+        with pytest.raises(InvariantViolation, match=r"amplitude \(1, 1\)"):
             TripleState(tuple(amps))
 
     def test_hadamard_outside_closure_raises(self):
@@ -172,7 +172,7 @@ class TestExactRepresentation:
         # integer representation.
         amps = ((1, 0), (0, 1), (1, 0), (0, 1), (0, 1), (0, 1), ZERO, ZERO)
         state = TripleState(amps)
-        with pytest.raises(ExactnessError, match="Hadamard on C"):
+        with pytest.raises(InvariantViolation, match="Hadamard on C"):
             apply_hadamard(state, "C")
 
 
@@ -314,5 +314,5 @@ class TestSampling:
     def test_a_law_that_misses_eight_slots_is_refused(self, monkeypatch):
         # p^2 + q^2 drops a factor 2 on every half amplitude: 4 slots, not 8.
         monkeypatch.setattr(qsim, "_weight", lambda amp: amp[0] ** 2 + amp[1] ** 2)
-        with pytest.raises(ExactnessError, match="squared norm is 4/8"):
+        with pytest.raises(InvariantViolation, match="squared norm is 4/8"):
             mermin_state()
