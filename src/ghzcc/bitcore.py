@@ -77,6 +77,8 @@ class BitString(FrozenValue):
     def __init__(self, length: int, bits: int) -> None:
         if type(length) is not int or not 1 <= length <= MAX_LENGTH:
             raise ValueError(f"length must be in 1..{MAX_LENGTH}, got {length}")
+        if type(bits) is not int:
+            raise ValueError(f"bits must be an int, got {bits!r}")
         if not 0 <= bits < (1 << length):
             raise ValueError(f"bits 0x{bits:x} has set bits above length {length}")
         _set(self, "length", length)
@@ -186,7 +188,7 @@ def random_promise_triple(n: int, rng) -> PromiseTriple:
 
 def _two_party_rows(n: int, f: Callable[[int, int], int]) -> tuple[int, ...]:
     """rows[x] has bit y set when f(x, y) = 1, over all packed length-n words."""
-    if not 1 <= n <= MAX_TABLE_LENGTH:
+    if type(n) is not int or not 1 <= n <= MAX_TABLE_LENGTH:
         raise ValueError(f"n must be in 1..{MAX_TABLE_LENGTH}, got {n}")
     size = 1 << n
     return tuple(sum(f(x, y) << y for y in range(size)) for x in range(size))

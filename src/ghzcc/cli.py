@@ -155,8 +155,8 @@ def _check_ints(seed: int, n: int = 1, n_name: str = "n") -> None:
 def cmd_demo(n: int, seed: int) -> Report:
     """Random promise triple through all three protocols, transcripts shown.
 
-    An n or seed that is not an int raises TypeError, and a negative seed
-    ValueError, before any run.
+    An n or seed that is not an int raises TypeError, and a negative seed or an
+    n outside 1..bitcore.MAX_LENGTH ValueError, before any run.
     """
     _check_ints(seed, n)
     report = Report("demo", {"n": n, "seed": seed})
@@ -193,8 +193,8 @@ def cmd_verify(scope: str, n: int, seed: int) -> Report:
 def cmd_search(scope: str, workers: int, seed: int) -> Report:
     """Run the selected lower-bound search and report the feasible count.
 
-    An unknown scope or a negative seed raises ValueError, and a seed or
-    worker count that is not an int TypeError, before any search runs.
+    An unknown scope, a worker count below 1 or a negative seed raises ValueError,
+    and a seed or worker count that is not an int TypeError, before any count.
     """
     if scope not in SEARCH_SCOPES:
         raise ValueError(f"unknown search scope {scope!r}; know {list(SEARCH_SCOPES)}")
@@ -275,15 +275,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-
-    if args.command == "demo" and not 1 <= args.n <= bitcore.MAX_LENGTH:
-        parser.error(f"--n must be in 1..{bitcore.MAX_LENGTH}")
-    if args.command == "verify" and not 1 <= args.n <= MAX_VERIFY_N:
-        parser.error(f"--n must be in 1..{MAX_VERIFY_N}")
-    if args.command == "search" and args.workers < 1:
-        parser.error("--workers must be >= 1")
-    if getattr(args, "seed", 0) < 0:  # random.Random(-s) would replay seed s
-        parser.error("--seed must be >= 0")
     created = bool(args.out) and not os.path.exists(args.out)
     if args.out:
         # An unwritable report path is a usage error, found before the command runs.
@@ -295,10 +286,13 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         report = args.run(args)
-    except BaseException:
-        # A command that did not finish leaves no empty report behind.
+    except BaseException as exc:
+        # An unfinished command leaves no empty report. A command raises ValueError only
+        # to refuse an argument; a package fault is InvariantViolation, a failed check.
         if created:
             os.remove(args.out)
+        if isinstance(exc, ValueError):
+            parser.error(str(exc))
         raise
 
     rendered = (

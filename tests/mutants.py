@@ -42,12 +42,29 @@ MUTANTS = (
     # Each party applies its Hadamard on input 1 instead of 0.
     ("src/ghzcc/qsim.py", "if bit == 0:", "if bit == 1:",
      [JOINT_LAW]),
+    # The slot table lists the outcomes from basis index 7 down.
+    ("src/ghzcc/qsim.py", "zip(_BITS, weights)", "zip(_BITS[::-1], weights[::-1])",
+     ["tests/test_qsim.py::TestSampling::test_slot_table_is_the_exact_distribution"]),
+    # A mixed amplitude gets a weight instead of being refused.
+    ("src/ghzcc/qsim.py", "if p and q:", "if False:",
+     ["tests/test_qsim.py::TestExactRepresentation::"
+      "test_mixed_amplitude_has_no_rational_probability"]),
     # A draw rounds into 7 slots instead of flooring into 8.
     ("src/ghzcc/qsim.py", "int(rng.random() * 8)", "round(rng.random() * 7)",
      ["tests/test_qsim.py::TestSampling::test_slots_draw_as_the_threshold_scan"]),
     # The audit no longer counts records against scheduled steps.
     ("src/ghzcc/protocols.py", "if len(bits) != len(result.steps):", "if False:",
      ["tests/test_protocols.py::TestAudit::test_transcript_shows_an_unscheduled_bit"]),
+    # Alice flips the parity she decodes.
+    ("src/ghzcc/protocols.py", "return (sum(local[1]) + sum(received)) & 1",
+     "return (sum(local[1]) + sum(received) + 1) & 1",
+     ["tests/test_protocols.py::TestJointState::test_every_joint_outcome_decodes_to_f"]),
+    # A party sends the parity of its input word, not of its outcomes.
+    ("src/ghzcc/protocols.py", "return sum(local[1]) & 1", "return local[0].bits.bit_count() & 1",
+     ["tests/test_protocols.py::TestJointState::test_every_joint_outcome_decodes_to_f"]),
+    # The counting protocols run on without the zero-count identity.
+    ("src/ghzcc/protocols.py", "if r_a + r_b + r_c != 2 * k:", "if False:",
+     ["tests/test_protocols.py::TestCountingIdentity::test_run_path_rejects_broken_identity"]),
     # A fault outside the one package fault type escapes the run checker.
     ("src/ghzcc/runs.py", "except bitcore.InvariantViolation as exc:",
      "except ValueError as exc:",
@@ -56,6 +73,13 @@ MUTANTS = (
     # Every listed case value passes replay.
     ("src/ghzcc/lowerbound.py", "ok = got == expected == packed", "ok = True",
      ["tests/test_lowerbound.py::TestCaseReplay::test_mutated_case_fails_replay"]),
+    # Every class without a weight-1 word goes to case 2.2.1, 111 or not.
+    ("src/ghzcc/lowerbound.py", 'candidates = ("2.2.2",) if ALL3 in s0 else ("2.2.1",)',
+     'candidates = ("2.2.1",)',
+     ["tests/test_lowerbound.py::TestCoverage::test_all_partitions_mapped_and_verified"]),
+    # The bit-1 branch's counts stand in for the bit-0 branch too.
+    ("src/ghzcc/lowerbound.py", "zip(second, counts[m1 ^ full])", "zip(second, counts[m1])",
+     ["tests/test_lowerbound.py::TestBlackboardSearch::test_breakdown_matches_two_branch_oracle"]),
     # The third word without the promise's all-ones column.
     ("src/ghzcc/lowerbound.py", "return x ^ y ^ ALL3", "return x ^ y",
      ["tests/test_lowerbound.py::TestTwoPartySearches::"
@@ -63,6 +87,9 @@ MUTANTS = (
     # An in-process demo compiles the lower-bound code.
     ("src/ghzcc/cli.py", "from . import bitcore\n", "from . import bitcore, lowerbound\n",
      ["tests/test_package.py::test_demo_and_verify_without_cases_load_no_lowerbound"]),
+    # A refused argument escapes main as a traceback, not a usage error.
+    ("src/ghzcc/cli.py", "if isinstance(exc, ValueError):", "if False:",
+     ["tests/test_cli.py::TestMainEntry::test_main_exits_2_exactly_when_its_command_raises"]),
     # The report clock is never read at the end.
     ("src/ghzcc/cli.py", "self.elapsed_s = time.perf_counter() - self._start",
      "self.elapsed_s = 0.0",
@@ -80,6 +107,21 @@ MUTANTS = (
     ("src/ghzcc/bitcore.py", "if type(length) is not int or not 1 <= length",
      "if not 1 <= length",
      ["tests/test_bitcore.py::test_a_length_that_is_not_an_int_is_refused"]),
+    # A float or bool bits builds a word that cannot be printed.
+    ("src/ghzcc/bitcore.py", "if type(bits) is not int:", "if False:",
+     ["tests/test_bitcore.py::TestValueTypes::test_validation_error_texts"]),
+    # A bool or float table length passes the range check.
+    ("src/ghzcc/bitcore.py", "if type(n) is not int or not 1 <= n <= MAX_TABLE_LENGTH:",
+     "if not 1 <= n <= MAX_TABLE_LENGTH:",
+     ["tests/test_bitcore.py::test_a_length_that_is_not_an_int_is_refused"]),
+    # A derived slot counts as a field.
+    ("src/ghzcc/bitcore.py", 'for name in self.__slots__ if name[0] != "_"}',
+     "for name in self.__slots__}",
+     ["tests/test_bitcore.py::TestValueTypes::test_derived_slots_are_not_fields"]),
+    # A field can be assigned after __init__.
+    ("src/ghzcc/bitcore.py", 'raise AttributeError(f"cannot assign to field {name!r}")',
+     "_set(self, name, value)",
+     ["tests/test_bitcore.py::TestValueTypes::test_fields_refuse_assignment_and_deletion"]),
     # The column promise is never checked.
     ("src/ghzcc/bitcore.py", "bad = (x.bits ^ y.bits ^ z.bits) ^ all_ones", "bad = 0",
      ["tests/test_bitcore.py::TestPromiseTriple::test_bad_columns_rejected"]),

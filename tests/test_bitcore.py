@@ -247,8 +247,9 @@ class TestRandomPromiseTriple:
     "build, text",
     [(lambda n: BitString(n, 1), "length must be in 1..32"),
      (enumerate_promise, "n must be in 1..16"),
-     (lambda n: random_promise_triple(n, random.Random(0)), "n must be in 1..32")],
-    ids=["BitString", "enumerate_promise", "random_promise_triple"],
+     (lambda n: random_promise_triple(n, random.Random(0)), "n must be in 1..32"),
+     (inner_product_table, "n must be in 1..8")],
+    ids=["BitString", "enumerate_promise", "random_promise_triple", "inner_product_table"],
 )
 def test_a_length_that_is_not_an_int_is_refused(build, text, n):
     # True equals 1 and passes a range check, yet str(BitString(True, 1))
@@ -262,6 +263,8 @@ BAD_VALUES = (
     ("BitString(0, 0)", "ValueError: length must be in 1..32, got 0"),
     ("BitString(33, 0)", "ValueError: length must be in 1..32, got 33"),
     ("BitString(2, 4)", "ValueError: bits 0x4 has set bits above length 2"),
+    ("BitString(1, 1.0)", "ValueError: bits must be an int, got 1.0"),
+    ("BitString(2, True)", "ValueError: bits must be an int, got True"),
     (
         "PromiseTriple(BitString(2, 0), BitString(3, 0), BitString(3, 7))",
         "PromiseViolation: lengths differ: 2, 3, 3",

@@ -360,8 +360,9 @@ class TestRenderOracle:
 
 
 # Each CLI bound beside the in-process check behind it, as (argv, command,
-# its arguments, rejected). main states its rules apart from the commands, so
-# that a bad value never reaches the --out pre-open; this table keeps the two equal.
+# its arguments, rejected). main has no rules of its own: it turns the command's
+# ValueError into exit 2, so the two agree by construction, and this table is
+# the regression test of that.
 _SEED_COMMANDS = (
     (["demo"], "cmd_demo", (3,)),
     (["verify", "--scope", "lemma1"], "cmd_verify", ("lemma1", 3)),
@@ -448,15 +449,16 @@ class TestMainEntry:
     @pytest.mark.parametrize(
         ("argv", "message"),
         [
-            (["demo", "--n", "40"], "--n must be in 1..32"),
-            (["verify", "--n", "9"], "--n must be in 1..8"),
-            (["search", "--workers", "0"], "--workers must be >= 1"),
-            (["demo", "--seed", "-1"], "--seed must be >= 0"),
+            (["demo", "--n", "40"], "n must be in 1..32, got 40"),
+            (["verify", "--n", "9"], "verify n must be in 1..8, got 9"),
+            (["search", "--workers", "0"], "workers must be >= 1, got 0"),
+            (["demo", "--seed", "-1"], "seed must be >= 0, got -1"),
         ],
         ids=["demo-n", "verify-n", "search-workers", "demo-seed"],
     )
     def test_rejected_arguments_never_touch_out(self, argv, message, tmp_path, capsys):
-        # Every argument rule runs before the --out pre-open creates the file.
+        # The command refuses after the --out pre-open, and main removes the file
+        # that the pre-open created.
         target = tmp_path / "new.json"
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--out", str(target)])
@@ -493,6 +495,16 @@ class TestMainEntry:
         report = target.read_text()
         assert report.startswith("# ghzcc replay") and "OLD REPORT" not in report
 
+    def test_existing_out_survives_a_refused_argument(self, tmp_path, capsys):
+        # The mode-"a" pre-open writes nothing, so a refusal leaves the old bytes.
+        target = tmp_path / "report.txt"
+        old = b"OLD REPORT\r\n\x00" * 1000
+        target.write_bytes(old)
+        with pytest.raises(SystemExit) as exc:
+            main(["demo", "--n", "40", "--out", str(target)])
+        assert exc.value.code == EXIT_USAGE
+        assert target.read_bytes() == old
+
     def test_new_out_is_removed_after_an_interrupted_command(self, tmp_path, monkeypatch):
         target = tmp_path / "report.txt"
 
@@ -515,12 +527,13 @@ class TestMainEntry:
         ids=["demo", "verify", "search"],
     )
     def test_negative_seed_is_a_usage_error(self, argv, monkeypatch, capsys):
-        # random.Random seeds with abs(seed), so -5 would print seed 5's body.
-        monkeypatch.setattr(cli, f"cmd_{argv[0]}", lambda *args: pytest.fail("command ran"))
+        # random.Random seeds with abs(seed), so -5 would print seed 5's body. The
+        # command refuses before it makes its report, so no work starts.
+        monkeypatch.setattr(cli, "Report", lambda *args: pytest.fail("command ran"))
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == EXIT_USAGE
-        assert capsys.readouterr().err.splitlines()[-1] == "ghzcc: error: --seed must be >= 0"
+        assert capsys.readouterr().err.splitlines()[-1] == "ghzcc: error: seed must be >= 0, got -5"
 
     def test_failed_out_write_is_a_usage_error(self, tmp_path, monkeypatch, capsys):
         # The path opens, but the report's write fails after every check passed.

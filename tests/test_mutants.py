@@ -21,7 +21,7 @@ def _test_ids(path: Path) -> frozenset[str]:
 
 
 def test_each_mutant_applies_once_and_names_existing_tests():
-    assert len(MUTANTS) >= 12
+    assert len(MUTANTS) >= 25
     for path, snippet, replacement, tests in MUTANTS:
         assert (ROOT / path).read_text().count(snippet) == 1, (path, snippet)
         assert replacement != snippet and tests

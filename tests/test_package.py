@@ -147,6 +147,17 @@ def test_cli_reads_lowerbound_only_in_build_parser():
     assert outside == []
 
 
+def test_no_check_rests_on_assert():
+    # python -O strips assert statements, so the package raises its faults instead.
+    asserts = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((ROOT / "src" / "ghzcc").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert asserts == []
+
+
 def perfbench_bindings():
     # perfbench/spans.py wraps each (module, attribute) of BINDINGS in place.
     # Load it from source, so no bytecode is written under perfbench/.
