@@ -20,15 +20,15 @@ MAX_TABLE_LENGTH = 8
 LEGAL_COLUMNS = ((0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 1, 1))
 
 
-class PromiseViolation(ValueError):
-    """An (x, y, z) triple breaks the bitwise column promise."""
-
-
 class InvariantViolation(Exception):
     """A law the package checks while it runs does not hold.
 
     Raised explicitly rather than through `assert`, which `python -O` strips.
     """
+
+
+class PromiseViolation(InvariantViolation):
+    """An (x, y, z) triple breaks the bitwise column promise."""
 
 
 _set = object.__setattr__

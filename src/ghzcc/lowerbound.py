@@ -27,7 +27,7 @@ import itertools
 from functools import lru_cache
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .bitcore import PromiseTriple, _two_party_rows, f_ghz
+from .bitcore import PromiseTriple, PromiseViolation, _two_party_rows, f_ghz
 
 ALL3 = 7  # all-ones word of length 3
 _PERMS = tuple(itertools.permutations((0, 1, 2)))
@@ -238,7 +238,7 @@ def replay_case(case_id: str) -> CaseReport:
             label = f"({probe.x},{y},{z})"
             try:
                 triple = PromiseTriple.from_strs(probe.x, y, z)
-            except ValueError as exc:  # promise violation
+            except PromiseViolation as exc:
                 failures.append(f"{label}: {exc}")
                 tuple_checks.append((label, expected, -1, False))
                 continue

@@ -101,8 +101,14 @@ MUTANTS = (
     ("src/ghzcc/cli.py", "if seed < 0:", "if seed < -1:",
      ["tests/test_cli.py::test_negative_seed_raises_before_any_work"]),
     # A bool or float worker count heads a search report.
-    ("src/ghzcc/cli.py", '_check_ints(seed, workers, "workers")', "_check_ints(seed)",
+    ("src/ghzcc/cli.py", '_check_ints(seed, workers, "workers")',
+     '_check_ints(seed, 1, "workers")',
      ["tests/test_cli.py::test_non_int_seed_or_length_raises_before_any_work"]),
+    # The parser reads the case ids again, so every CLI process compiles lowerbound.
+    ("src/ghzcc/cli.py", "def _build_parser() -> argparse.ArgumentParser:\n",
+     "def _build_parser() -> argparse.ArgumentParser:\n    from . import lowerbound\n",
+     ["tests/test_package.py::test_demo_and_verify_without_cases_load_no_lowerbound",
+      "tests/test_package.py::test_each_module_imports_only_its_listed_modules"]),
     # A bool length builds a word that cannot be printed.
     ("src/ghzcc/bitcore.py", "if type(length) is not int or not 1 <= length",
      "if not 1 <= length",
@@ -122,6 +128,10 @@ MUTANTS = (
     ("src/ghzcc/bitcore.py", 'raise AttributeError(f"cannot assign to field {name!r}")',
      "_set(self, name, value)",
      ["tests/test_bitcore.py::TestValueTypes::test_fields_refuse_assignment_and_deletion"]),
+    # An off-promise triple inside a command is reported as a refused argument.
+    ("src/ghzcc/bitcore.py", "class PromiseViolation(InvariantViolation):",
+     "class PromiseViolation(ValueError):",
+     ["tests/test_cli.py::TestMainEntry::test_promise_fault_in_a_command_is_not_a_usage_error"]),
     # The column promise is never checked.
     ("src/ghzcc/bitcore.py", "bad = (x.bits ^ y.bits ^ z.bits) ^ all_ones", "bad = 0",
      ["tests/test_bitcore.py::TestPromiseTriple::test_bad_columns_rejected"]),

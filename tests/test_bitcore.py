@@ -277,12 +277,12 @@ BAD_VALUES = (
 
 # Prints each BAD_VALUES construction's error; run both in-process and under -O.
 CONSTRUCTION_ERRORS = f"""
-from ghzcc.bitcore import BitString, PromiseTriple
+from ghzcc.bitcore import BitString, InvariantViolation, PromiseTriple
 for source in {[source for source, _ in BAD_VALUES]!r}:
     try:
         eval(source)
         print("accepted " + source)
-    except ValueError as exc:
+    except (ValueError, InvariantViolation) as exc:
         print(f"{{type(exc).__name__}}: {{exc}}")
 """
 

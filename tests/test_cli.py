@@ -375,6 +375,8 @@ ARGUMENT_BOUNDS = [
     *((["search", "--workers", str(w)], "cmd_search", ("paper", w, 0), w == 0) for w in (0, 1)),
     *(([*argv, "--seed", str(seed)], command, (*args, seed), seed < 0)
       for argv, command, args in _SEED_COMMANDS for seed in (-1, 0)),
+    *((["replay", "--case", case], "cmd_replay", (case,), case in ("9", ""))
+      for case in ("1", "2.2.2", "9", "")),
 ]
 
 
@@ -437,8 +439,8 @@ class TestMainEntry:
         out = capsys.readouterr().out
         assert out.startswith(f"usage: {' '.join(['ghzcc', *command])} ")
         if command == ["replay"]:
-            assert len(CASES) == 7
-            assert "--case {" + ",".join(sorted(CASES)) + "}" in out
+            # The parser lists no case ids: replay_case alone decides them.
+            assert "--case CASE" in out and "every case if left out" in out
 
     def test_demo_help_reads_the_length_bound(self, monkeypatch, capsys):
         monkeypatch.setattr(bitcore, "MAX_LENGTH", 16)
@@ -453,8 +455,9 @@ class TestMainEntry:
             (["verify", "--n", "9"], "verify n must be in 1..8, got 9"),
             (["search", "--workers", "0"], "workers must be >= 1, got 0"),
             (["demo", "--seed", "-1"], "seed must be >= 0, got -1"),
+            (["replay", "--case", "9"], f"unknown case id '9'; know {sorted(CASES)}"),
         ],
-        ids=["demo-n", "verify-n", "search-workers", "demo-seed"],
+        ids=["demo-n", "verify-n", "search-workers", "demo-seed", "replay-case"],
     )
     def test_rejected_arguments_never_touch_out(self, argv, message, tmp_path, capsys):
         # The command refuses after the --out pre-open, and main removes the file
@@ -548,6 +551,15 @@ class TestMainEntry:
         assert exc.value.code == EXIT_USAGE
         err = capsys.readouterr().err.splitlines()
         assert err[-1] == f"ghzcc: error: cannot write --out {target}: No space left on device"
+
+    def test_promise_fault_in_a_command_is_not_a_usage_error(self, monkeypatch):
+        # An off-promise triple is a package fault: it escapes main, not as exit 2.
+        def off_promise(n, rng):
+            return bitcore.PromiseTriple.from_strs("0" * n, "0" * n, "0" * n)
+
+        monkeypatch.setattr(bitcore, "random_promise_triple", off_promise)
+        with pytest.raises(bitcore.PromiseViolation, match="column 3 is 000"):
+            main(["demo", "--n", "3"])
 
     def test_verification_failure_exits_1(self, monkeypatch, capsys):
         def broken(column):

@@ -85,11 +85,13 @@ def test_search_and_replay_load_no_protocol_layer(isolation, step):
         assert set(LOWER) <= set(loaded)
 
 
-# In-process runs, in order: none before the cases section may load bounds or
-# lowerbound.
+# Runs in one process, in order: none before the cases section may load bounds
+# or lowerbound, whether called in-process or through main and its parser.
 RUN_STEPS = [
     "cli.cmd_demo(32, 0).passed",
     *(f"cli.cmd_verify({scope!r}, 2, 0).passed" for scope in ("lemma1", "quantum", "classical")),
+    f"{main_step(['demo', '--n', '3'])} == 0",
+    f"{main_step(['verify', '--scope', 'quantum', '--n', '2'])} == 0",
     "cli.cmd_verify('cases', 2, 0).passed",
 ]
 ALL_STEP = "cli.cmd_verify('all', 2, 0).passed"
@@ -129,22 +131,37 @@ def test_cases_and_all_load_lowerbound(run_isolation):
         assert set(LOWER) <= set(loaded)
 
 
-def test_cli_reads_lowerbound_only_in_build_parser():
-    # replay --case's choices are the one lower-bound fact cli reads; the
-    # reports themselves are assembled in bounds.
-    tree = ast.parse((ROOT / "src" / "ghzcc" / "cli.py").read_text(encoding="utf-8"))
-    parser = next(node for node in tree.body
-                  if isinstance(node, ast.FunctionDef) and node.name == "_build_parser")
-    inside = {id(node) for node in ast.walk(parser)}
-    outside = [
-        node.lineno for node in ast.walk(tree)
-        if id(node) not in inside and (
-            isinstance(node, ast.Name) and node.id == "lowerbound"
-            or isinstance(node, ast.alias) and node.name == "lowerbound"
-            or isinstance(node, ast.ImportFrom) and node.module == "lowerbound"
-        )
-    ]
-    assert outside == []
+# The relative imports of each module, outside TYPE_CHECKING blocks: cli
+# reaches lowerbound only through bounds, and runs and bounds never meet.
+IMPORTS = {
+    "__init__": set(),
+    "__main__": {"cli"},
+    "cli": {"bitcore", "runs", "bounds"},
+    "runs": {"bitcore", "protocols", "qsim"},
+    "bounds": {"bitcore", "lowerbound"},
+    "protocols": {"bitcore", "qsim"},
+    "qsim": {"bitcore"},
+    "lowerbound": {"bitcore"},
+    "bitcore": set(),
+}
+
+
+def package_imports(tree: ast.Module) -> set[str]:
+    """The package modules a module imports relatively, outside TYPE_CHECKING blocks."""
+    typing_only = {id(inner) for node in ast.walk(tree)
+                   if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING"
+                   for inner in ast.walk(node)}
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level and id(node) not in typing_only:
+            found.update([node.module] if node.module else (alias.name for alias in node.names))
+    return found
+
+
+def test_each_module_imports_only_its_listed_modules():
+    found = {path.stem: package_imports(ast.parse(path.read_text(encoding="utf-8")))
+             for path in (ROOT / "src" / "ghzcc").glob("*.py")}
+    assert found == IMPORTS
 
 
 def test_no_check_rests_on_assert():
