@@ -41,11 +41,6 @@ def verify_cases(report: Report) -> None:
     )
 
 
-def _pattern_label(key: tuple[str, str, str]) -> str:
-    first, when0, when1 = key
-    return f"{first}-{when0}/{when1}"
-
-
 def _search_zero(report: Report, result: lowerbound.SearchResult, check: str, **note: Any) -> None:
     """Note a search result and check that no candidate is feasible."""
     feasible, candidates = result.feasible, result.candidates
@@ -68,7 +63,7 @@ def search(report: Report, scope: str, workers: int) -> None:
         result = lowerbound.search_blackboard_two_bit(workers=workers)
         breakdown = result.breakdown
         _search_zero(report, result, "blackboard_zero_feasible",
-                     breakdown={_pattern_label(k): v for k, v in breakdown.items()})
+                     breakdown={"{}-{}/{}".format(*k): v for k, v in breakdown.items()})
         alice_first = sum(v for k, v in breakdown.items() if k[0] == "A")
         report.check("alice_first_zero_feasible", alice_first == 0)
         report.check("relay_b_then_c_zero_feasible", breakdown["B", "C", "C"] == 0)
@@ -77,15 +72,11 @@ def search(report: Report, scope: str, workers: int) -> None:
         _search_zero(report, result, "ip3_two_bit_zero_feasible")
         report.check(
             "ip3_three_bit_feasible",
-            lowerbound.send_all_bits_feasible(bitcore.inner_product_table(3)),
+            lowerbound.send_y_computes_f3(bitcore.inner_product_table(3)),
         )
         for n in range(1, 5):
-            one_bit = lowerbound.search_two_party_one_bit(bitcore.parity_table(n))
-            report.check(
-                f"parity_one_bit_feasible_n{n}",
-                one_bit.feasible >= 1,
-                feasible=one_bit.feasible,
-            )
+            feasible = lowerbound.search_two_party_one_bit(bitcore.parity_table(n))
+            report.check(f"parity_one_bit_feasible_n{n}", feasible >= 1, feasible=feasible)
     else:
         raise ValueError(f"unknown search scope {scope!r}")
 

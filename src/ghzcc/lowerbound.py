@@ -416,7 +416,7 @@ class SearchResult(NamedTuple):
     name: str
     feasible: int
     candidates: int
-    breakdown: Mapping[tuple[str, str, str], int] | None = None
+    breakdown: Mapping[tuple[str, str, str], int]
 
 
 def _count_protocols(
@@ -488,15 +488,15 @@ def search_two_party_ip3(workers: int = 1) -> SearchResult:
     return _count_protocols("two_party_ip3", _ghz_game(), ("A", "B"), ("A", "B"), workers)
 
 
-def _fibers_constant(size: int, value, transcript) -> bool:
-    """Is value(x, y) constant on every (x, transcript(x, y)) fiber?
+def _fibers_constant(transcript) -> bool:
+    """Is the game value f3(x, y) constant on every (x, transcript(x, y)) fiber?
 
     A direct loop with no bitmaps: the independent oracle for the engine.
     """
-    for x in range(size):
+    for x in range(8):
         seen: dict = {}
-        for y in range(size):
-            v = value(x, y)
+        for y in range(8):
+            v = f3(x, y)
             if seen.setdefault(transcript(x, y), v) != v:
                 return False
     return True
@@ -515,7 +515,7 @@ def three_bit_messages_feasible() -> bool:
     (x, transcript) fiber, which certifies that a three-bit budget is
     attainable in the same model the two-bit search exhausts.
     """
-    return _fibers_constant(8, f3, _three_bit_transcript)
+    return _fibers_constant(_three_bit_transcript)
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +523,7 @@ def three_bit_messages_feasible() -> bool:
 # ---------------------------------------------------------------------------
 
 
-def search_two_party_one_bit(rows: Sequence[int]) -> SearchResult:
+def search_two_party_one_bit(rows: Sequence[int]) -> int:
     """Count correct one-bit two-party protocols for f given as row masks.
 
     The one bit is a second message after nothing: sender B must split every
@@ -533,15 +533,14 @@ def search_two_party_one_bit(rows: Sequence[int]) -> SearchResult:
     game = _two_party_game(rows)
     if len(rows) > 16:
         raise ValueError(f"one-bit search supports length <= 4, got {len(rows)} rows")
-    counts = game.branch_counts((game.full,) * len(game.rows), ("A", "B"))
-    return SearchResult(
-        name="two_party_one_bit",
-        feasible=sum(counts),
-        candidates=2 * (game.full + 1),
-    )
+    return sum(game.branch_counts((game.full,) * len(game.rows), ("A", "B")))
 
 
-def send_all_bits_feasible(rows: Sequence[int]) -> bool:
-    """Fiber check for the n-bit protocol where B sends his whole word."""
-    rows = _two_party_game(rows).rows
-    return _fibers_constant(len(rows), lambda x, y: (rows[x] >> y) & 1, lambda x, y: y)
+def send_y_computes_f3(rows: Sequence[int]) -> bool:
+    """Is the three-bit protocol "Bob sends y; Alice outputs rows[x] >> y & 1" correct?
+
+    It is when that output is f3(x, y) on all 64 inputs, i.e. when rows is the
+    game as Alice sees it. On the promise f3 = x.y, so the length-3 inner-product
+    table passes and a table of any other function fails.
+    """
+    return _two_party_game(rows).rows == _ghz_game().rows

@@ -29,28 +29,36 @@ def _attempt(compute, *args) -> tuple[Any, dict]:
         return None, {"error": f"{type(exc).__name__}: {exc}"}
 
 
-def _judge(t, expected: int, cost: int, run, *args) -> tuple[Any, dict, tuple, dict | None]:
-    """Run the protocol once and audit it once.
-
-    Returns the result (None if a fault stopped it), _attempt's error, its
-    audit failures (a stopped run's one failure names the fault), and a
-    witness naming t and why, or None if the run outputs `expected` at `cost`
-    bits and passes audit_run.
+def _judge(expected: int, cost: int, run, *args) -> tuple[Any, dict[str, Any]]:
+    """Run the protocol once and audit it once: the result (None if a fault stopped
+    it) and the verdict, each failed part's reason in the order stopped, output,
+    cost, audit. A stopped run fails every part: it has no output and no cost, and
+    its one audit failure names the fault.
     """
     result, error = _attempt(run, *args)
-    failures = (f"stopped by {error['error']}",) if error else protocols.audit_run(result).failures
     if error:
-        reason = error["error"]
-    elif result.output != expected:
-        reason = f"output {result.output}, expected {expected}"
-    elif result.cost != cost:
-        reason = f"cost {result.cost}, expected {cost}"
-    elif failures:
-        reason = "audit: " + "; ".join(failures)
-    else:
-        return result, error, failures, None
-    return result, error, failures, {"triple": str(t), "reason": reason,
-                                     "transcript": result.transcript if result else None}
+        fault = error["error"]
+        return None, {"stopped": fault, "output": None, "cost": None,
+                      "audit": (f"stopped by {fault}",)}
+    verdict: dict[str, Any] = {}
+    if result.output != expected:
+        verdict["output"] = f"output {result.output}, expected {expected}"
+    if result.cost != cost:
+        verdict["cost"] = f"cost {result.cost}, expected {cost}"
+    if failures := protocols.audit_run(result).failures:
+        verdict["audit"] = failures
+    return result, verdict
+
+
+def _witness(t, result, verdict: dict[str, Any]) -> dict | None:
+    """t, the first failed part's reason and the transcript; None if the run passed."""
+    if not verdict:
+        return None
+    part, reason = next(iter(verdict.items()))
+    if part == "audit":
+        reason = "audit: " + "; ".join(reason)
+    return {"triple": str(t), "reason": reason,
+            "transcript": result.transcript if result else None}
 
 
 def _check(report: Report, name: str, witness: dict | None, **detail: Any) -> None:
@@ -61,34 +69,34 @@ def _check(report: Report, name: str, witness: dict | None, **detail: Any) -> No
 
 
 def demo(report: Report, n: int, seed: int) -> None:
-    """Random promise triple through all three protocols, transcripts shown."""
+    """Random promise triple through all three protocols; each check reads a verdict."""
     rng = random.Random(seed)
     t = bitcore.random_promise_triple(n, rng)
     direct = bitcore.f_ghz(t)
     report.note("input", x=str(t.x), y=str(t.y), z=str(t.z), direct_value=direct)
 
     width = n.bit_length()
-    runs = {
-        "quantum_two_bit": _judge(t, direct, 2, protocols.run_quantum_two_bit, t, rng),
-        "classical_three_bit": _judge(t, direct, 3, protocols.run_classical_three_bit, t),
-        "classical_count": _judge(t, direct, 2 * width, protocols.run_classical_count, t),
-    }
+    judged = (
+        ("quantum", "quantum_two_bit", "quantum_cost_two", {},
+         _judge(direct, 2, protocols.run_quantum_two_bit, t, rng)),
+        ("three_bit", "classical_three_bit", "three_bit_cost_three", {},
+         _judge(direct, 3, protocols.run_classical_three_bit, t)),
+        ("count", "classical_count", "count_cost_formula", {"width": width},
+         _judge(direct, 2 * width, protocols.run_classical_count, t)),
+    )
     failures = []
-    for check, (name, (run, error, audit, _)) in zip(("quantum", "three_bit", "count"),
-                                                     runs.items()):
-        failures += [f"{name}: {failure}" for failure in audit]
-        # A stopped run has no output and no cost.
+    for check, name, _, _, (run, verdict) in judged:
+        failures += [f"{name}: {failure}" for failure in verdict.get("audit", ())]
         if run is None:
-            report.note("run", protocol=name, **error)
-            report.check(f"{check}_matches_direct", False, triple=str(t), **error)
+            report.note("run", protocol=name, error=verdict["stopped"])
+            report.check(f"{check}_matches_direct", "output" not in verdict, triple=str(t),
+                         error=verdict["stopped"])
             continue
         report.note("run", protocol=name, output=run.output, cost=run.cost,
-                    transcript=run.transcript, audit="fail" if audit else "pass")
-        report.check(f"{check}_matches_direct", run.output == direct)
-    quantum, three, count = (run.cost if run else None for run, _, _, _ in runs.values())
-    report.check("quantum_cost_two", quantum == 2, cost=quantum)
-    report.check("three_bit_cost_three", three == 3, cost=three)
-    report.check("count_cost_formula", count == 2 * width, cost=count, width=width)
+                    transcript=run.transcript, audit="fail" if "audit" in verdict else "pass")
+        report.check(f"{check}_matches_direct", "output" not in verdict)
+    for _, _, cost_check, detail, (run, verdict) in judged:
+        report.check(cost_check, "cost" not in verdict, cost=run.cost if run else None, **detail)
     _check(report, "audits_pass", failures or None)
 
 
@@ -127,8 +135,8 @@ def verify_quantum(report: Report, n_max: int, seed: int) -> None:
         for t in bitcore.enumerate_promise(n):
             expected = bitcore.f_ghz(t)
             for _ in range(2):
-                fault = _judge(t, expected, 2, protocols.run_quantum_two_bit, t, rng)[3]
-                witness = witness or fault
+                judged = _judge(expected, 2, protocols.run_quantum_two_bit, t, rng)
+                witness = witness or _witness(t, *judged)
         _check(report, f"quantum_exhaustive_n{n}", witness, triples=4**n, runs=2 * 4**n)
 
 
@@ -138,9 +146,9 @@ def verify_classical(report: Report, n_max: int) -> None:
         three = count = None
         for t in bitcore.enumerate_promise(n):
             expected = bitcore.f_ghz(t)
-            fault = _judge(t, expected, 3, protocols.run_classical_three_bit, t)[3]
-            three = three or fault
-            fault = _judge(t, expected, 2 * width, protocols.run_classical_count, t)[3]
-            count = count or fault
+            judged = _judge(expected, 3, protocols.run_classical_three_bit, t)
+            three = three or _witness(t, *judged)
+            judged = _judge(expected, 2 * width, protocols.run_classical_count, t)
+            count = count or _witness(t, *judged)
         _check(report, f"classical_three_bit_n{n}", three, triples=4**n)
         _check(report, f"classical_count_n{n}", count, triples=4**n, cost=2 * width)

@@ -65,6 +65,10 @@ MUTANTS = (
     # The counting protocols run on without the zero-count identity.
     ("src/ghzcc/protocols.py", "if r_a + r_b + r_c != 2 * k:", "if False:",
      ["tests/test_protocols.py::TestCountingIdentity::test_run_path_rejects_broken_identity"]),
+    # Demo expects its quantum run to cost 5 bits: its cost check must read the judge.
+    ("src/ghzcc/runs.py", "_judge(direct, 2, protocols.run_quantum_two_bit",
+     "_judge(direct, 5, protocols.run_quantum_two_bit",
+     ["tests/test_cli.py::TestDemo::test_outputs_agree_and_pass"]),
     # A fault outside the one package fault type escapes the run checker.
     ("src/ghzcc/runs.py", "except bitcore.InvariantViolation as exc:",
      "except ValueError as exc:",
@@ -87,6 +91,9 @@ MUTANTS = (
     # An in-process demo compiles the lower-bound code.
     ("src/ghzcc/cli.py", "from . import bitcore\n", "from . import bitcore, lowerbound\n",
      ["tests/test_package.py::test_demo_and_verify_without_cases_load_no_lowerbound"]),
+    # A failed check exits like a usage error.
+    ("src/ghzcc/cli.py", "EXIT_CHECK_FAILED = 1", "EXIT_CHECK_FAILED = 2",
+     ["tests/test_cli.py::TestMainEntry::test_exit_statuses_are_the_readme_literals"]),
     # A refused argument escapes main as a traceback, not a usage error.
     ("src/ghzcc/cli.py", "if isinstance(exc, ValueError):", "if False:",
      ["tests/test_cli.py::TestMainEntry::test_main_exits_2_exactly_when_its_command_raises"]),
@@ -135,6 +142,15 @@ MUTANTS = (
     # The column promise is never checked.
     ("src/ghzcc/bitcore.py", "bad = (x.bits ^ y.bits ^ z.bits) ^ all_ones", "bad = 0",
      ["tests/test_bitcore.py::TestPromiseTriple::test_bad_columns_rejected"]),
+    # The column promise accepts 011 and 101.
+    ("src/ghzcc/bitcore.py", "bad = (x.bits ^ y.bits ^ z.bits) ^ all_ones",
+     "bad = ((x.bits ^ y.bits) | z.bits) ^ all_ones",
+     ["tests/test_bitcore.py::TestPromiseTriple::"
+      "test_each_illegal_column_refused_at_each_position"]),
+    # The inner-product table reads x OR y, so sending y no longer computes the game.
+    ("src/ghzcc/bitcore.py", "lambda x, y: (x & y).bit_count() & 1",
+     "lambda x, y: (x | y).bit_count() & 1",
+     ["tests/test_cli.py::TestMainEntry::test_exit_statuses_are_the_readme_literals"]),
     # The target function reads x AND y OR z.
     ("src/ghzcc/bitcore.py", "(t.x.bits & t.y.bits & t.z.bits)",
      "(t.x.bits & t.y.bits | t.z.bits)",

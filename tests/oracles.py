@@ -31,7 +31,7 @@ from typing import Any, Iterable, NamedTuple
 from ghzcc.bitcore import BitString, PromiseTriple, f_ghz
 from ghzcc.cli import Report
 from ghzcc.lowerbound import (
-    CASES, _SPEAKERS, _fibers_constant, _ghz_game, _s, _side, f3, third_word
+    CASES, _SPEAKERS, _fibers_constant, _ghz_game, _s, _side, third_word
 )
 from ghzcc.protocols import (
     RunResult, SendStep, run_classical_count, run_classical_three_bit, run_protocol,
@@ -150,7 +150,7 @@ def candidate_feasible(candidate: ProtocolCandidate) -> bool:
         sp2 = candidate.second_speakers[b1]
         return b1, (candidate.second_fns[b1] >> words[sp2]) & 1
 
-    return _fibers_constant(8, f3, transcript)
+    return _fibers_constant(transcript)
 
 
 Bits = tuple[int, int, int]

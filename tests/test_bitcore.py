@@ -150,6 +150,19 @@ class TestPromiseTriple:
         with pytest.raises(PromiseViolation):
             PromiseTriple.from_strs(x, y, z)
 
+    @pytest.mark.parametrize("column", ["000", "011", "101", "110"])
+    def test_each_illegal_column_refused_at_each_position(self, column):
+        # Every column type outside the promise, at every position of every
+        # length up to 3, with each legal column filling the other positions.
+        bad = tuple(map(int, column))
+        for n in range(1, 4):
+            for i in range(n):
+                for filler in LEGAL_COLUMNS:
+                    cols = [bad if j == i else filler for j in range(n)]
+                    x, y, z = ("".join(str(c[k]) for c in cols) for k in range(3))
+                    with pytest.raises(PromiseViolation, match=f"column {i + 1} is {column},"):
+                        PromiseTriple.from_strs(x, y, z)
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(PromiseViolation):
             PromiseTriple(bs("01"), bs("011"), bs("011"))

@@ -569,6 +569,22 @@ class TestMainEntry:
         assert main(["verify", "--scope", "lemma1"]) == EXIT_CHECK_FAILED
         assert "FAIL" in capsys.readouterr().out
 
+    def test_exit_statuses_are_the_readme_literals(self, monkeypatch, capsys):
+        # README: "Exit status is 0 when every check in the report passed, 1 when any
+        # failed, and 2 for usage errors". The other tests compare against the names;
+        # this one pins the names and what main returns to the documented literals.
+        assert (EXIT_OK, EXIT_CHECK_FAILED, EXIT_USAGE) == (0, 1, 2)
+        assert main(["search", "--scope", "ip3"]) == 0
+
+        def broken(column):
+            raise InvariantViolation("forced failure for the exit-status literals")
+
+        monkeypatch.setattr(qsim, "transformed_state", broken)
+        assert main(["verify", "--scope", "lemma1"]) == 1
+        with pytest.raises(SystemExit) as exc:
+            main(["demo", "--n", "0"])
+        assert exc.value.code == 2
+
     def test_module_entry_point(self):
         env = child_env(Path(cli.__file__).resolve().parents[1])
         proc = subprocess.run(

@@ -41,7 +41,7 @@ from ghzcc.lowerbound import (
     search_bob_broadcast_carol,
     search_two_party_ip3,
     search_two_party_one_bit,
-    send_all_bits_feasible,
+    send_y_computes_f3,
     third_word,
     three_bit_messages_feasible,
 )
@@ -432,16 +432,30 @@ class TestTwoPartySearches:
         assert ip3.candidates == two_party.candidates == 2 * 256 * (2 * 256) ** 2 == 2**27
 
     def test_ip3_three_bit_exists(self):
-        assert send_all_bits_feasible(inner_product_table(3))
+        # Bob sends his three bits and Alice reads the inner product off her row;
+        # on the promise that is the game value of the completed triple.
+        rows = inner_product_table(3)
+        assert send_y_computes_f3(rows)
+        for t in enumerate_promise(3):
+            assert (rows[t.x.bits] >> t.y.bits) & 1 == f_ghz(t)
+
+    def test_ip3_three_bit_fails_on_any_other_table(self):
+        rows = inner_product_table(3)
+        for x in range(8):
+            for y in range(8):
+                flipped = rows[:x] + (rows[x] ^ 1 << y,) + rows[x + 1:]
+                assert not send_y_computes_f3(flipped), (x, y)
+        union = tuple(sum(((x | y).bit_count() & 1) << y for y in range(8)) for x in range(8))
+        for other in (union, parity_table(3), inner_product_table(2), inner_product_table(4)):
+            assert not send_y_computes_f3(other)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_parity_one_bit_exists(self, n):
-        result = search_two_party_one_bit(parity_table(n))
         # Exactly the parity mask and its complement split every row purely.
-        assert result.feasible == 2
+        assert search_two_party_one_bit(parity_table(n)) == 2
 
     def test_ip3_needs_more_than_one_bit(self):
-        assert search_two_party_one_bit(inner_product_table(3)).feasible == 0
+        assert search_two_party_one_bit(inner_product_table(3)) == 0
 
     def test_factorized_count_matches_brute_force_nonzero(self):
         # Parity on 2-bit words is solvable with two bits, so the counts are
@@ -480,7 +494,7 @@ class TestTwoPartySearches:
         ids=["none", "one", "three", "six", "bit_2", "bit_4", "negative", "float"],
     )
     def test_malformed_rows_rejected(self, rows):
-        for check in (search_two_party_one_bit, send_all_bits_feasible):
+        for check in (search_two_party_one_bit, send_y_computes_f3):
             with pytest.raises(ValueError):
                 check(rows)
 
