@@ -18,6 +18,9 @@ MAX_TABLE_LENGTH = 8
 # The four column patterns (x_i, y_i, z_i) allowed by the promise, in
 # lexicographic order; enumeration order is defined by these codes.
 LEGAL_COLUMNS = ((0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 1, 1))
+# For random_promise_triple: top bytes with a code above 3, and a code byte's x_i or y_i digit.
+_ABOVE_3 = bytes(range(128, 256))
+_X_DIGIT, _Y_DIGIT = (bytes(48 + (b >> bit & 1) for b in range(256)) for bit in (6, 5))
 
 
 class InvariantViolation(Exception):
@@ -170,18 +173,17 @@ def random_promise_triple(n: int, rng) -> PromiseTriple:
     """Uniform random promise triple: each column drawn from LEGAL_COLUMNS."""
     if type(n) is not int or not 1 <= n <= MAX_LENGTH:
         raise ValueError(f"n must be in 1..{MAX_LENGTH}, got {n}")
-    # LEGAL_COLUMNS[c] has x_i = c >> 1 and y_i = c & 1; z follows from the promise.
-    # A code is what CPython's rng.randrange(4) returns: getrandbits(3), drawn
-    # again while above 3. Written out, the loop reads the same generator
-    # words, so every seeded triple and every later draw stay the same.
-    xb = yb = 0
-    getrandbits = rng.getrandbits
-    for i in range(n):
-        code = getrandbits(3)
-        while code > 3:
-            code = getrandbits(3)
-        xb |= (code >> 1) << i
-        yb |= (code & 1) << i
+    # A column code c is what CPython's rng.randrange(4) returns: the top 3 bits of the next
+    # 32-bit generator word, drawn again while above 3. getrandbits(32 * k) is the next k
+    # words, the first lowest, so byte 3 of each little-endian word holds a code in bits 7-5,
+    # and each pass reads the words a per-column loop would: every seeded draw stays the same.
+    codes = b""
+    while len(codes) < n:
+        k = n - len(codes)
+        codes += rng.getrandbits(32 * k).to_bytes(4 * k, "little")[3::4].translate(None, _ABOVE_3)
+    # LEGAL_COLUMNS[c] has x_i = c >> 1 (bit 6) and y_i = c & 1 (bit 5); z follows from the
+    # promise. Reversed, column 1 is the last digit, so int() reads it as the lowest bit.
+    xb, yb = (int(codes[::-1].translate(digit), 2) for digit in (_X_DIGIT, _Y_DIGIT))
     zb = ((1 << n) - 1) ^ xb ^ yb
     return PromiseTriple(BitString(n, xb), BitString(n, yb), BitString(n, zb))
 

@@ -28,7 +28,6 @@ SCHEMA_VERSION = 1
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
-EXIT_USAGE = 2
 
 VERIFY_SCOPES = ("lemma1", "quantum", "classical", "cases", "all")
 SEARCH_SCOPES = ("paper", "blackboard", "ip3")

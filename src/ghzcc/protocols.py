@@ -41,8 +41,13 @@ class RunResult(NamedTuple):
     @property
     def transcript(self) -> str:
         """Every bit as "S->A:b"; a bit no step scheduled shows "?" as its sender."""
-        scheduled = [f"{step.sender}->A:{bit}" for step, bit in zip(self.steps, self.bits)]
-        return " ".join(scheduled + [f"?->A:{bit}" for bit in self.bits[len(self.steps):]])
+        return _transcript_format(self.steps, len(self.bits)).format(*self.bits)
+
+
+@lru_cache(maxsize=None)
+def _transcript_format(steps: tuple[SendStep, ...], count: int) -> str:
+    senders = [step.sender for step in steps[:count]] + ["?"] * (count - len(steps))
+    return " ".join(f"{sender}->A:{{}}" for sender in senders)
 
 
 class AuditReport(NamedTuple):
@@ -110,25 +115,43 @@ def _quantum_output(local, received):
 _QUANTUM_STEPS = (SendStep("B", 0), SendStep("C", 0))
 
 
-def run_quantum_two_bit(t: PromiseTriple, rng) -> RunResult:
-    """Entanglement-assisted protocol: two bits, both to Alice.
+def deal_quantum(t: PromiseTriple, rng) -> tuple[tuple[int, ...], ...]:
+    """Measure the shared triples: the outcome tuples (a, b, c) dealt to A, B and C.
 
-    Each party measures its half of every shared triple (after a Hadamard on
-    the columns where its input bit is 0) and XORs its outcomes into a single
-    bit. The joint outcome of column i is drawn once from the exact
-    distribution and its three bits are dealt to the three parties, which is
-    the measurement of an entangled triple; the dealt bits then count as part
-    of each party's local input.
+    Each party applies a Hadamard where its input bit is 0. Column i's joint outcome is
+    one sample_outcome draw from its exact law, in column order; sample_outcome is read
+    from the module on every call, where perfbench/spans.py wraps it.
     """
     # The four column states, indexed like LEGAL_COLUMNS by the code (x_i << 1) | y_i.
-    # sample_outcome and run_protocol are read from the module on every call,
-    # where perfbench/spans.py wraps them.
     states = [transformed_state(column) for column in LEGAL_COLUMNS]
     x, y = t.x.bits, t.y.bits
-    a, b, c = zip(*[
-        sample_outcome(states[(x >> i & 1) << 1 | y >> i & 1], rng)
-        for i in range(t.length)
-    ])
+    # Unpacked: tuple(zip(...)) would size its result for ten items, then shrink it.
+    a, b, c = zip(*[sample_outcome(states[(x >> i & 1) << 1 | y >> i & 1], rng)
+                    for i in range(t.length)])
+    return a, b, c
+
+
+@lru_cache(maxsize=None)
+def _dealable() -> frozenset:
+    """Each (x_i, y_i, a, b, c) a measurement can deal: (a, b, c) in the slot table of column
+    (x_i, y_i)'s law, x_i and y_i as str(word) prints them. Built on a process's first run.
+    """
+    return frozenset((str(x), str(y), *outcome) for x, y, z in LEGAL_COLUMNS
+                     for outcome in transformed_state((x, y, z))._slots)
+
+
+def run_quantum_two_bit(t: PromiseTriple, dealing) -> RunResult:
+    """Entanglement-assisted protocol on a dealing: two bits, both to Alice.
+
+    Bob and Carol send the parity of their dealt outcomes, which count as local input. A
+    column that no measurement can deal raises InvariantViolation, and a dealing of another
+    length ValueError. run_protocol is read from the module, where perfbench wraps it.
+    """
+    a, b, c = dealing
+    if not _dealable().issuperset(zip(str(t.x), str(t.y), a, b, c, strict=True)):
+        columns = list(zip(str(t.x), str(t.y), a, b, c))
+        i = next(i for i, column in enumerate(columns) if column not in _dealable())
+        raise InvariantViolation(f"column {i + 1} cannot deal {columns[i][2:]}")
     inputs = {"A": (t.x, a), "B": (t.y, b), "C": (t.z, c)}
     return run_protocol(inputs, _outcome_parity, _QUANTUM_STEPS, _quantum_output)
 

@@ -50,6 +50,11 @@ def _judge(expected: int, cost: int, run, *args) -> tuple[Any, dict[str, Any]]:
     return result, verdict
 
 
+def _quantum(t, rng):
+    """Deal the shared triples, then run the quantum protocol on that dealing."""
+    return protocols.run_quantum_two_bit(t, protocols.deal_quantum(t, rng))
+
+
 def _witness(t, result, verdict: dict[str, Any]) -> dict | None:
     """t, the first failed part's reason and the transcript; None if the run passed."""
     if not verdict:
@@ -78,7 +83,7 @@ def demo(report: Report, n: int, seed: int) -> None:
     width = n.bit_length()
     judged = (
         ("quantum", "quantum_two_bit", "quantum_cost_two", {},
-         _judge(direct, 2, protocols.run_quantum_two_bit, t, rng)),
+         _judge(direct, 2, _quantum, t, rng)),
         ("three_bit", "classical_three_bit", "three_bit_cost_three", {},
          _judge(direct, 3, protocols.run_classical_three_bit, t)),
         ("count", "classical_count", "count_cost_formula", {"width": width},
@@ -135,7 +140,7 @@ def verify_quantum(report: Report, n_max: int, seed: int) -> None:
         for t in bitcore.enumerate_promise(n):
             expected = bitcore.f_ghz(t)
             for _ in range(2):
-                judged = _judge(expected, 2, protocols.run_quantum_two_bit, t, rng)
+                judged = _judge(expected, 2, _quantum, t, rng)
                 witness = witness or _witness(t, *judged)
         _check(report, f"quantum_exhaustive_n{n}", witness, triples=4**n, runs=2 * 4**n)
 

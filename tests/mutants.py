@@ -62,12 +62,28 @@ MUTANTS = (
     # A party sends the parity of its input word, not of its outcomes.
     ("src/ghzcc/protocols.py", "return sum(local[1]) & 1", "return local[0].bits.bit_count() & 1",
      ["tests/test_protocols.py::TestJointState::test_every_joint_outcome_decodes_to_f"]),
+    # The quantum run takes any dealing, one no measurement can give included.
+    ("src/ghzcc/protocols.py",
+     "if not _dealable().issuperset(zip(str(t.x), str(t.y), a, b, c, strict=True)):",
+     "if False:",
+     ["tests/test_protocols.py::TestJointState::"
+      "test_a_dealing_no_measurement_gives_is_refused_at_each_column"]),
+    # The quantum run checks every column against the 001 column's law.
+    ("src/ghzcc/protocols.py", "transformed_state((x, y, z))._slots",
+     "transformed_state((0, 0, 1))._slots",
+     ["tests/test_protocols.py::TestJointState::test_every_joint_outcome_decodes_to_f"]),
+    # The quantum run reads the dealing only as far as t's length.
+    ("src/ghzcc/protocols.py", "a, b, c, strict=True)", "a, b, c)",
+     ["tests/test_protocols.py::TestJointState::test_a_dealing_of_another_length_is_refused"]),
+    # A column code byte's x_i is read from bit 5 too, so every x copies y.
+    ("src/ghzcc/bitcore.py", "for bit in (6, 5))", "for bit in (5, 5))",
+     ["tests/test_bitcore.py::TestPackedHelpersMatchPerBitOracle::"
+      "test_random_triple_and_rng_state_match_per_column_loop"]),
     # The counting protocols run on without the zero-count identity.
     ("src/ghzcc/protocols.py", "if r_a + r_b + r_c != 2 * k:", "if False:",
      ["tests/test_protocols.py::TestCountingIdentity::test_run_path_rejects_broken_identity"]),
     # Demo expects its quantum run to cost 5 bits: its cost check must read the judge.
-    ("src/ghzcc/runs.py", "_judge(direct, 2, protocols.run_quantum_two_bit",
-     "_judge(direct, 5, protocols.run_quantum_two_bit",
+    ("src/ghzcc/runs.py", "_judge(direct, 2, _quantum", "_judge(direct, 5, _quantum",
      ["tests/test_cli.py::TestDemo::test_outputs_agree_and_pass"]),
     # A fault outside the one package fault type escapes the run checker.
     ("src/ghzcc/runs.py", "except bitcore.InvariantViolation as exc:",
@@ -77,6 +93,9 @@ MUTANTS = (
     # Every listed case value passes replay.
     ("src/ghzcc/lowerbound.py", "ok = got == expected == packed", "ok = True",
      ["tests/test_lowerbound.py::TestCaseReplay::test_mutated_case_fails_replay"]),
+    # Carol's mask-1 set is left empty: no zero count can see it.
+    ("src/ghzcc/lowerbound.py", "for m in range(1, 256):", "for m in range(2, 256):",
+     ["tests/test_lowerbound.py::TestClosedFormBitmaps::test_xor_pull_is_its_docstring"]),
     # Every class without a weight-1 word goes to case 2.2.1, 111 or not.
     ("src/ghzcc/lowerbound.py", 'candidates = ("2.2.2",) if ALL3 in s0 else ("2.2.1",)',
      'candidates = ("2.2.1",)',

@@ -34,8 +34,8 @@ from ghzcc.lowerbound import (
     CASES, _SPEAKERS, _fibers_constant, _ghz_game, _s, _side, third_word
 )
 from ghzcc.protocols import (
-    RunResult, SendStep, run_classical_count, run_classical_three_bit, run_protocol,
-    run_quantum_two_bit,
+    RunResult, SendStep, deal_quantum, run_classical_count, run_classical_three_bit,
+    run_protocol, run_quantum_two_bit,
 )
 from ghzcc.qsim import TripleState, transformed_state
 
@@ -77,7 +77,7 @@ def protocol_agreement(t: PromiseTriple, rng) -> dict[str, int]:
     """Run all three protocols on t and return their outputs plus the direct value."""
     return {
         "direct": f_ghz(t),
-        "quantum_two_bit": run_quantum_two_bit(t, rng).output,
+        "quantum_two_bit": run_quantum_two_bit(t, deal_quantum(t, rng)).output,
         "classical_three_bit": run_classical_three_bit(t).output,
         "classical_count": run_classical_count(t).output,
     }

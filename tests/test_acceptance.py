@@ -27,6 +27,7 @@ from ghzcc.lowerbound import (
     send_y_computes_f3,
 )
 from ghzcc.protocols import (
+    deal_quantum,
     run_classical_count,
     run_classical_three_bit,
     run_quantum_two_bit,
@@ -56,13 +57,13 @@ def test_criterion_1_quantum_upper_bound():
         for seed in SEEDS:
             rng = random.Random(seed)
             for t in enumerate_promise(3):
-                result = run_quantum_two_bit(t, rng)
+                result = run_quantum_two_bit(t, deal_quantum(t, rng))
                 assert result.output == f_ghz(t)
                 assert result.cost == 2
             for n in RANDOM_LENGTHS:
                 for _ in range(TRIPLES_PER_SEED):
                     t = random_promise_triple(n, rng)
-                    result = run_quantum_two_bit(t, rng)
+                    result = run_quantum_two_bit(t, deal_quantum(t, rng))
                     assert result.output == f_ghz(t)
                     assert result.cost == 2
         assert time.perf_counter() - start < 10.0

@@ -17,7 +17,6 @@ from ghzcc.bitcore import BitString, InvariantViolation
 from ghzcc.cli import (
     EXIT_CHECK_FAILED,
     EXIT_OK,
-    EXIT_USAGE,
     cmd_demo,
     cmd_replay,
     cmd_search,
@@ -394,7 +393,7 @@ class TestMainEntry:
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
-        assert (raised, code) == (rejected, EXIT_USAGE if rejected else EXIT_OK)
+        assert (raised, code) == (rejected, 2 if rejected else EXIT_OK)
 
     def test_exit_ok(self, capsys):
         assert main(["demo", "--n", "3", "--seed", "1"]) == EXIT_OK
@@ -429,7 +428,7 @@ class TestMainEntry:
     def test_usage_errors_exit_2(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
-        assert exc.value.code == EXIT_USAGE
+        assert exc.value.code == 2
 
     @pytest.mark.parametrize("command", [[], ["demo"], ["verify"], ["search"], ["replay"]])
     def test_help_exits_0(self, command, capsys):
@@ -465,7 +464,7 @@ class TestMainEntry:
         target = tmp_path / "new.json"
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--out", str(target)])
-        assert exc.value.code == EXIT_USAGE
+        assert exc.value.code == 2
         assert capsys.readouterr().err.splitlines()[-1] == f"ghzcc: error: {message}"
         assert not target.exists()
 
@@ -475,7 +474,7 @@ class TestMainEntry:
         target = tmp_path / "missing" / "report.txt"
         with pytest.raises(SystemExit) as exc:
             main(["replay", "--out", str(target)])
-        assert exc.value.code == EXIT_USAGE
+        assert exc.value.code == 2
         err = capsys.readouterr().err
         assert err.splitlines()[-1].startswith("ghzcc: error: cannot write --out ")
         assert not target.parent.exists()
@@ -505,7 +504,7 @@ class TestMainEntry:
         target.write_bytes(old)
         with pytest.raises(SystemExit) as exc:
             main(["demo", "--n", "40", "--out", str(target)])
-        assert exc.value.code == EXIT_USAGE
+        assert exc.value.code == 2
         assert target.read_bytes() == old
 
     def test_new_out_is_removed_after_an_interrupted_command(self, tmp_path, monkeypatch):
@@ -535,7 +534,7 @@ class TestMainEntry:
         monkeypatch.setattr(cli, "Report", lambda *args: pytest.fail("command ran"))
         with pytest.raises(SystemExit) as exc:
             main(argv)
-        assert exc.value.code == EXIT_USAGE
+        assert exc.value.code == 2
         assert capsys.readouterr().err.splitlines()[-1] == "ghzcc: error: seed must be >= 0, got -5"
 
     def test_failed_out_write_is_a_usage_error(self, tmp_path, monkeypatch, capsys):
@@ -548,7 +547,7 @@ class TestMainEntry:
         target = tmp_path / "report.txt"
         with pytest.raises(SystemExit) as exc:
             main(["replay", "--out", str(target)])
-        assert exc.value.code == EXIT_USAGE
+        assert exc.value.code == 2
         err = capsys.readouterr().err.splitlines()
         assert err[-1] == f"ghzcc: error: cannot write --out {target}: No space left on device"
 
@@ -571,9 +570,10 @@ class TestMainEntry:
 
     def test_exit_statuses_are_the_readme_literals(self, monkeypatch, capsys):
         # README: "Exit status is 0 when every check in the report passed, 1 when any
-        # failed, and 2 for usage errors". The other tests compare against the names;
-        # this one pins the names and what main returns to the documented literals.
-        assert (EXIT_OK, EXIT_CHECK_FAILED, EXIT_USAGE) == (0, 1, 2)
+        # failed, and 2 for usage errors". The other tests compare against the names, and
+        # against the 2 that argparse's parser.error exits with; this one pins the names
+        # and what main returns to the documented literals.
+        assert (EXIT_OK, EXIT_CHECK_FAILED) == (0, 1)
         assert main(["search", "--scope", "ip3"]) == 0
 
         def broken(column):

@@ -33,6 +33,7 @@ from ghzcc.lowerbound import (
     _side,
     _three_bit_transcript,
     _two_party_game,
+    _xor_pull,
     carol_partition_feasible,
     case_cover_check,
     f3,
@@ -557,6 +558,13 @@ def _reference_valid_bitmap(row: int, pull, s: int) -> int:
 
 
 class TestClosedFormBitmaps:
+    def test_xor_pull_is_its_docstring(self):
+        # pull[m] = {v ^ t : v in m} for every t and every subset mask m of 3-bit words.
+        for t in range(8):
+            expected = tuple(sum(1 << (v ^ t) for v in range(8) if m >> v & 1)
+                             for m in range(256))
+            assert _xor_pull(t) == expected, t
+
     def test_three_party_views(self):
         game = _ghz_game()
         for x in range(8):

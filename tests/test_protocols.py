@@ -25,9 +25,8 @@ from ghzcc.bitcore import (
     random_promise_triple,
 )
 from ghzcc.protocols import (
-    _outcome_parity,
-    _quantum_output,
     audit_run,
+    deal_quantum,
     run_classical_count,
     run_classical_three_bit,
     run_quantum_two_bit,
@@ -50,18 +49,23 @@ def bs(text: str) -> BitString:
     return BitString.from_str(text)
 
 
+def quantum(t: PromiseTriple, rng):
+    """The quantum protocol on t, on a dealing drawn from rng."""
+    return run_quantum_two_bit(t, deal_quantum(t, rng))
+
+
 class TestQuantumTwoBit:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_all_64_triples(self, seed):
         rng = random.Random(seed)
         for t in enumerate_promise(3):
-            result = run_quantum_two_bit(t, rng)
+            result = quantum(t, rng)
             assert result.output == f_ghz(t)
             assert result.cost == 2
 
     def test_transcript_routing(self):
         t = PromiseTriple.from_strs("111", "111", "111")
-        result = run_quantum_two_bit(t, random.Random(0))
+        result = quantum(t, random.Random(0))
         assert [s.sender for s in result.steps] == ["B", "C"]
         assert result.transcript == "B->A:{} C->A:{}".format(*result.bits)
         assert result.output == 1  # 3 mod 2
@@ -70,14 +74,14 @@ class TestQuantumTwoBit:
         rng = random.Random(77)
         for _ in range(1000):
             t = random_promise_triple(8, rng)
-            result = run_quantum_two_bit(t, rng)
+            result = quantum(t, rng)
             assert result.output == f_ghz(t)
             assert result.cost == 2
 
     def test_audit_passes(self):
         rng = random.Random(3)
         for t in enumerate_promise(2):
-            assert audit_run(run_quantum_two_bit(t, rng)).passed
+            assert audit_run(quantum(t, rng)).passed
 
     def test_output_constant_over_product_support(self):
         # Enumerates every joint outcome with nonzero probability instead of
@@ -95,12 +99,12 @@ class TestQuantumTwoBit:
         rng = random.Random(12)
         for n in (1, 2, 7, 32):
             for _ in range(50):
-                result = run_quantum_two_bit(random_promise_triple(n, rng), rng)
+                result = quantum(random_promise_triple(n, rng), rng)
                 assert result.bits == tuple(sum(result.inputs[p][1]) & 1 for p in "BC")
 
     def test_local_data_carries_measured_bits(self):
         t = PromiseTriple.from_strs("001", "010", "100")
-        result = run_quantum_two_bit(t, random.Random(5))
+        result = quantum(t, random.Random(5))
         sampled = {p: result.inputs[p][1] for p in "ABC"}
         assert sum(map(sum, sampled.values())) & 1 == f_ghz(t)
         assert all(len(sampled[p]) == 3 for p in "ABC")
@@ -115,17 +119,57 @@ class TestJointState:
     """The quantum protocol against the whole 3n-qubit state, simulated apart from qsim."""
 
     def test_every_joint_outcome_decodes_to_f(self):
+        # The measurable joint outcomes are the dealings the run must accept: each one,
+        # run and audited, costs 2 bits and outputs f.
         checked = 0
         for n in (1, 2, 3):
             for t in enumerate_promise(n):
                 for a, b, c in joint_outcomes(t):
-                    received = (_outcome_parity((t.y, _dealt(b, n))),
-                                _outcome_parity((t.z, _dealt(c, n))))
-                    output = _quantum_output((t.x, _dealt(a, n)), received)
-                    assert output == f_ghz(t), (t, a, b, c)
+                    result = run_quantum_two_bit(t, (_dealt(a, n), _dealt(b, n), _dealt(c, n)))
+                    assert (result.output, result.cost) == (f_ghz(t), 2), (t, a, b, c)
+                    assert audit_run(result).passed, (t, a, b, c)
                     checked += 1
         # 4^n triples of length n, each with 4^n measurable outcomes.
         assert checked == sum(16 ** n for n in (1, 2, 3))
+
+    def test_a_dealing_no_measurement_gives_is_refused_at_each_column(self):
+        # Flipping any of column i's three dealt bits in a measurable dealing gives a
+        # dealing that the joint state either gives or not; the run must refuse exactly
+        # the latter, naming column i and its dealt bits.
+        refused = [0, 0, 0]
+        for t in enumerate_promise(3):
+            outcomes = joint_outcomes(t)
+            words = next(iter(outcomes))
+            for i in range(3):
+                for flip in range(1, 8):
+                    moved = tuple(w ^ (flip >> (2 - p) & 1) << i for p, w in enumerate(words))
+                    dealing = tuple(_dealt(w, 3) for w in moved)
+                    if moved in outcomes:
+                        assert run_quantum_two_bit(t, dealing).output == f_ghz(t)
+                        continue
+                    bits = ", ".join(str(w >> i & 1) for w in moved)
+                    with pytest.raises(InvariantViolation,
+                                       match=rf"^column {i + 1} cannot deal \({bits}\)$"):
+                        run_quantum_two_bit(t, dealing)
+                    refused[i] += 1
+        # Each column's law gives 4 of the 8 outcomes, so 4 of the 7 flips leave its support.
+        assert refused == [64 * 4] * 3
+
+    def test_a_dealing_of_another_length_is_refused(self):
+        t = PromiseTriple.from_strs("001", "010", "100")
+        a, b, c = deal_quantum(t, random.Random(0))
+        assert len(a) == len(b) == len(c) == 3
+        for dealing in ((a[:2], b[:2], c[:2]), (a + (0,), b + (0,), c + (1,)), (a, b[:2], c)):
+            with pytest.raises(ValueError, match=r"^zip\(\) argument"):
+                run_quantum_two_bit(t, dealing)
+
+    def test_the_run_draws_nothing(self):
+        # The dealing is the run's only source of outcomes: one dealing, one result.
+        t = PromiseTriple.from_strs("0110", "0101", "1100")
+        dealing = deal_quantum(t, random.Random(3))
+        first, second = run_quantum_two_bit(t, dealing), run_quantum_two_bit(t, dealing)
+        assert (first.bits, first.output) == (second.bits, second.output)
+        assert {p: first.inputs[p][1] for p in "ABC"} == dict(zip("ABC", dealing))
 
     def test_joint_law_is_the_product_of_the_column_laws(self):
         # The protocol draws each column from its own 3-qubit law, its weights in eighths.
@@ -333,7 +377,7 @@ def _words(n: int) -> list[BitString]:
 
 # Every input of each protocol at a small length, as a fresh list of runs.
 ALL_RUNS = {
-    "quantum": lambda: [run_quantum_two_bit(t, random.Random(9)) for t in enumerate_promise(2)],
+    "quantum": lambda: [quantum(t, random.Random(9)) for t in enumerate_promise(2)],
     "three_bit": lambda: [run_classical_three_bit(t) for t in enumerate_promise(3)],
     "count": lambda: [run_classical_count(t) for t in enumerate_promise(3)],
     "parity": lambda: [run_parity_one_bit(x, y) for x in _words(3) for y in _words(3)],
@@ -385,6 +429,7 @@ class TestAudit:
         smuggled = result._replace(bits=result.bits + (1,))
         assert smuggled.cost == 4
         assert smuggled.transcript == "B->A:1 B->A:0 C->A:0 ?->A:1"
+        assert result._replace(bits=result.bits[:2]).transcript == "B->A:1 B->A:0"
         assert "4 records for 3 scheduled steps" in audit_run(smuggled).failures
 
     @pytest.mark.parametrize("protocol", sorted(ALL_RUNS))
@@ -415,7 +460,7 @@ class TestSchedulesBuiltOnce:
     def test_quantum_and_three_bit_steps_are_shared(self):
         rng = random.Random(4)
         a, b = random_promise_triple(9, rng), random_promise_triple(9, rng)
-        assert run_quantum_two_bit(a, rng).steps is run_quantum_two_bit(b, rng).steps
+        assert quantum(a, rng).steps is quantum(b, rng).steps
         assert run_classical_three_bit(a).steps is run_classical_three_bit(b).steps
 
     def test_count_steps_built_once_per_width(self):
@@ -429,7 +474,7 @@ class TestSchedulesBuiltOnce:
 
     def test_quantum_draws_reuse_the_sampling_tables(self, monkeypatch):
         rng = random.Random(6)
-        run_quantum_two_bit(random_promise_triple(8, rng), rng)
+        quantum(random_promise_triple(8, rng), rng)
         calls = []
         weight = qsim._weight
 
@@ -441,7 +486,7 @@ class TestSchedulesBuiltOnce:
         monkeypatch.setattr(qsim, "_weight", counted)
         for n in (1, 8, 32):
             for _ in range(20):
-                assert run_quantum_two_bit(random_promise_triple(n, rng), rng).cost == 2
+                assert quantum(random_promise_triple(n, rng), rng).cost == 2
         assert calls == []
 
     def test_reports_render_with_one_encoder(self, monkeypatch):
