@@ -92,7 +92,6 @@ def replay(report: Report, case: str | None) -> None:
             header=result.header,
             tuples=[list(check) for check in result.tuple_checks],
             apart=[list(p) for p in result.feasibility.apart],
-            together=[list(p) for p in result.feasibility.together],
             joint_feasible=result.feasibility.feasible,
         )
         report.check(f"case_{case_id}", result.passed, failures=list(result.failures))

@@ -79,31 +79,24 @@ class CarolFeasibility(NamedTuple):
 
     candidates: each receiver input's (y, z, f) completions. apart: z pairs
     whose answer values differ for some receiver input, so they can never
-    share a class. together: pairs forced into the same class by chains of
-    apart constraints (2 classes only). feasible: the apart graph is
-    2-colorable.
+    share a class. feasible: the apart graph is 2-colorable.
     """
 
     candidates: Mapping[str, tuple[tuple[str, str, int], ...]]
     apart: tuple[tuple[str, str], ...]
-    together: tuple[tuple[str, str], ...]
     feasible: bool
 
 
-def _two_color(edges: set[tuple[int, int]]) -> tuple[tuple, tuple, bool]:
-    """2-color the apart graph: (apart, together, feasible), pairs forced per component."""
-    nodes = sorted({v for e in edges for v in e})
-    adj: dict[int, set[int]] = {v: set() for v in nodes}
+def _two_colorable(edges: set[tuple[int, int]]) -> bool:
+    """Does the apart graph have a 2-coloring that splits every edge?"""
+    adj: dict[int, set[int]] = {}
     for u, v in edges:
-        adj[u].add(v)
-        adj[v].add(u)
+        adj.setdefault(u, set()).add(v)
+        adj.setdefault(v, set()).add(u)
     color: dict[int, int] = {}
-    feasible = True
-    components: list[list[int]] = []
-    for start in nodes:
+    for start in adj:
         if start in color:
             continue
-        comp = [start]
         color[start] = 0
         queue = [start]
         while queue:
@@ -111,20 +104,10 @@ def _two_color(edges: set[tuple[int, int]]) -> tuple[tuple, tuple, bool]:
             for w in adj[u]:
                 if w not in color:
                     color[w] = color[u] ^ 1
-                    comp.append(w)
                     queue.append(w)
                 elif color[w] == color[u]:
-                    feasible = False
-        components.append(sorted(comp))
-    together = []
-    apart = []
-    for comp in components:
-        for u, v in itertools.combinations(comp, 2):
-            if color[u] == color[v]:
-                together.append((_s(u), _s(v)))
-            else:
-                apart.append((_s(u), _s(v)))
-    return tuple(sorted(apart)), tuple(sorted(together)), feasible
+                    return False
+    return True
 
 
 def carol_partition_feasible(xs: Sequence[str], bob_class: Iterable[str]) -> CarolFeasibility:
@@ -149,7 +132,8 @@ def carol_partition_feasible(xs: Sequence[str], bob_class: Iterable[str]) -> Car
             for (_, z1, f1), (_, z2, f2) in itertools.combinations(cands, 2)
             if f1 != f2
         }
-    return CarolFeasibility(candidates, *_two_color(joint_edges))
+    apart = tuple((_s(u), _s(v)) for u, v in sorted(joint_edges))
+    return CarolFeasibility(candidates, apart, _two_colorable(joint_edges))
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +391,7 @@ def _two_party_game(rows: Sequence[int]) -> _Game:
         raise ValueError(f"need 2^n rows for some n >= 1, got {size}")
     full = (1 << size) - 1
     for x, row in enumerate(rows):
-        if not isinstance(row, int) or not 0 <= row <= full:
+        if type(row) is not int or not 0 <= row <= full:
             raise ValueError(f"row {x} is not a mask over {size} words: {row!r}")
     return _Game(tuple(rows), {"A": None, "B": (range(1 << size),) * size}, full)
 

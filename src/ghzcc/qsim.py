@@ -97,10 +97,10 @@ def apply_hadamard(state: TripleState, party: str) -> TripleState:
 @lru_cache(maxsize=None)
 def transformed_state(column: tuple[int, int, int]) -> TripleState:
     """State of one triple after each party with input bit 0 applies a Hadamard."""
+    if len(column) != 3 or set(column) - {0, 1}:
+        raise ValueError(f"a column is three 0/1 bits, got {column}")
     state = mermin_state()
     for party, bit in zip(PARTIES, column):
-        if bit not in (0, 1):
-            raise ValueError(f"column bits must be 0/1, got {column}")
         if bit == 0:
             state = apply_hadamard(state, party)
     return state

@@ -31,6 +31,9 @@ ROOT = Path(__file__).resolve().parents[1]
 JOINT_LAW = ("tests/test_protocols.py::TestJointState::"
              "test_joint_law_is_the_product_of_the_column_laws")
 
+REPLAY_CERTIFICATE = ("tests/test_lowerbound.py::TestCaseReplay::"
+                      "test_apart_is_every_forced_pair_and_no_two_coloring_splits_them")
+
 # (file, exact snippet, replacement, test ids that must fail).
 MUTANTS = (
     # 8|amp|^2 read as p^2 + q^2: the shared triple's norm becomes 4/8.
@@ -49,6 +52,9 @@ MUTANTS = (
     ("src/ghzcc/qsim.py", "if p and q:", "if False:",
      ["tests/test_qsim.py::TestExactRepresentation::"
       "test_mixed_amplitude_has_no_rational_probability"]),
+    # A column of two or four bits is read as far as three parties reach.
+    ("src/ghzcc/qsim.py", "if len(column) != 3 or set(column)", "if set(column)",
+     ["tests/test_qsim.py::TestTransformedState::test_bad_bits_rejected"]),
     # A draw rounds into 7 slots instead of flooring into 8.
     ("src/ghzcc/qsim.py", "int(rng.random() * 8)", "round(rng.random() * 7)",
      ["tests/test_qsim.py::TestSampling::test_slots_draw_as_the_threshold_scan"]),
@@ -93,6 +99,15 @@ MUTANTS = (
     # Every listed case value passes replay.
     ("src/ghzcc/lowerbound.py", "ok = got == expected == packed", "ok = True",
      ["tests/test_lowerbound.py::TestCaseReplay::test_mutated_case_fails_replay"]),
+    # Two words of one color never conflict: every apart graph looks 2-colorable.
+    ("src/ghzcc/lowerbound.py", "elif color[w] == color[u]:", "elif color[w] != color[u]:",
+     [REPLAY_CERTIFICATE]),
+    # The apart pairs are the completions with equal answers.
+    ("src/ghzcc/lowerbound.py", "if f1 != f2", "if f1 == f2",
+     [REPLAY_CERTIFICATE]),
+    # A bool row counts as a mask.
+    ("src/ghzcc/lowerbound.py", "if type(row) is not int or", "if not isinstance(row, int) or",
+     ["tests/test_lowerbound.py::TestTwoPartySearches::test_malformed_rows_rejected"]),
     # Carol's mask-1 set is left empty: no zero count can see it.
     ("src/ghzcc/lowerbound.py", "for m in range(1, 256):", "for m in range(2, 256):",
      ["tests/test_lowerbound.py::TestClosedFormBitmaps::test_xor_pull_is_its_docstring"]),

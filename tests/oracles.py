@@ -10,8 +10,10 @@ read from its amplitudes against qsim's integer weights, the quantum
 protocol's full output support, an exact simulator of the whole 3n-qubit
 state the parties share, the float threshold scan that the eight-slot
 sampler is checked against, the string form of the bit-position permutation
-and a partition coverage check built on it, and the machine renderer that
-walks every value before encoding each record with a new encoder.
+and a partition coverage check built on it, the forced-apart pairs of an
+elimination case recomputed from strings with every 2-coloring of them
+tried, and the machine renderer that walks every value before encoding
+each record with a new encoder.
 
 It also holds code that no command runs: a triple's column list and
 per-party zero counts, and the two-party parity and inner-product
@@ -30,9 +32,7 @@ from typing import Any, Iterable, NamedTuple
 
 from ghzcc.bitcore import BitString, PromiseTriple, f_ghz
 from ghzcc.cli import Report
-from ghzcc.lowerbound import (
-    CASES, _SPEAKERS, _fibers_constant, _ghz_game, _s, _side, third_word
-)
+from ghzcc.lowerbound import CASES, _ghz_game
 from ghzcc.protocols import (
     RunResult, SendStep, deal_quantum, run_classical_count, run_classical_three_bit,
     run_protocol, run_quantum_two_bit,
@@ -131,7 +131,7 @@ class ProtocolCandidate:
 
     def __post_init__(self) -> None:
         for sp in (self.first_speaker, *self.second_speakers):
-            if sp not in _SPEAKERS:
+            if sp not in ("A", "B", "C"):
                 raise ValueError(f"unknown speaker {sp!r}")
         for fn in (self.first_fn, *self.second_fns):
             if not 0 <= fn <= 255:
@@ -141,16 +141,21 @@ class ProtocolCandidate:
 def candidate_feasible(candidate: ProtocolCandidate) -> bool:
     """Direct fiber check for one explicit candidate (no bitmask machinery).
 
-    Used as an independent oracle against the packed search counting.
+    Used as an independent oracle against the packed search counting: the
+    game value must be constant on every (x, transcript) fiber.
     """
-
-    def transcript(x: int, y: int) -> tuple[int, int]:
-        words = {"A": x, "B": y, "C": third_word(x, y)}
-        b1 = (candidate.first_fn >> words[candidate.first_speaker]) & 1
-        sp2 = candidate.second_speakers[b1]
-        return b1, (candidate.second_fns[b1] >> words[sp2]) & 1
-
-    return _fibers_constant(transcript)
+    for x in range(8):
+        seen: dict[tuple[int, int], int] = {}
+        for y in range(8):
+            z = 7 - (x ^ y)  # each column of (x, y, z) holds an odd number of ones
+            words = {"A": x, "B": y, "C": z}
+            b1 = (candidate.first_fn >> words[candidate.first_speaker]) & 1
+            sp2 = candidate.second_speakers[b1]
+            b2 = (candidate.second_fns[b1] >> words[sp2]) & 1
+            value = bin(x & y & z).count("1") % 2
+            if seen.setdefault((b1, b2), value) != value:
+                return False
+    return True
 
 
 Bits = tuple[int, int, int]
@@ -261,7 +266,7 @@ def joint_outcomes(t: PromiseTriple) -> dict[tuple[int, int, int], Fraction]:
 
 def permute_val(v: int, perm: tuple[int, int, int]) -> int:
     """Word v with its three binary digits reordered: digit i of the result is digit perm[i]."""
-    s = _s(v)
+    s = format(v, "03b")
     return int("".join(s[perm[i]] for i in range(3)), 2)
 
 
@@ -279,11 +284,40 @@ def uncovered(coverage) -> list[int]:
     for assignment in coverage.assignments:
         witness = CASES[assignment.case_id]
         members = [int(m, 2) for m in witness.class_members]
-        side = _side(assignment.partition, witness.class_side)
+        side = {y for y in range(8) if (assignment.partition >> y) & 1 == witness.class_side}
         if not any(permute_set(members, perm) <= side
                    for perm in itertools.permutations(range(3))):
             bad.append(assignment.partition)
     return bad
+
+
+def forced_apart(xs: Iterable[str], class_members: Iterable[str]) -> tuple[tuple[str, str], ...]:
+    """The z pairs a one-bit split of Carol's words must separate, from strings alone.
+
+    For each receiver input x and each y in Bob's class, z is the word whose
+    columns (x_i, y_i, z_i) hold an odd number of ones. Two such z must be
+    split when their triples' game values differ.
+    """
+    pairs = set()
+    for x in xs:
+        completions = []
+        for y in class_members:
+            z = "".join("1" if a == b else "0" for a, b in zip(x, y))
+            value = sum(a == b == c == "1" for a, b, c in zip(x, y, z)) % 2
+            completions.append((z, value))
+        pairs |= {tuple(sorted((z1, z2)))
+                  for (z1, v1), (z2, v2) in itertools.combinations(completions, 2) if v1 != v2}
+    return tuple(sorted(pairs))
+
+
+def proper_two_colorings(pairs: Iterable[tuple[str, str]]) -> list[dict[str, int]]:
+    """Every 2-coloring of the words in pairs that gives the two words of each pair
+    different colors, found by trying all of them."""
+    pairs = list(pairs)
+    words = sorted({w for pair in pairs for w in pair})
+    colorings = (dict(zip(words, colors))
+                 for colors in itertools.product((0, 1), repeat=len(words)))
+    return [c for c in colorings if all(c[u] != c[v] for u, v in pairs)]
 
 
 def jsonable(value: Any) -> Any:

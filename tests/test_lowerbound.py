@@ -7,6 +7,7 @@ partition, and the factorized two-party counting against a plain brute force
 on instances with nonzero counts.
 """
 
+import itertools
 import multiprocessing
 import random
 
@@ -53,8 +54,10 @@ from oracles import (
     carol_response_count,
     f_inner_product,
     f_parity,
+    forced_apart,
     permute_set,
     permute_val,
+    proper_two_colorings,
     two_branch_breakdown,
     uncovered,
 )
@@ -96,9 +99,8 @@ class TestCarolPartition:
             ("011", "101", 1),
         )
         assert report.feasible
-        assert ("101", "111") in report.together
-        assert ("100", "111") in report.apart
-        assert ("100", "101") in report.apart
+        # 100 is the only f = 0 completion, so it is split from both others.
+        assert report.apart == (("100", "101"), ("100", "111"))
 
     def test_second_x_makes_it_infeasible(self):
         report = carol_partition_feasible(["001", "011"], {"001", "010", "011"})
@@ -147,13 +149,13 @@ class TestCaseReplay:
 
     def test_full_replay_colors_one_graph_per_case(self, monkeypatch):
         calls = []
-        two_color = lowerbound._two_color
+        two_colorable = lowerbound._two_colorable
 
         def counted(edges):
             calls.append(edges)
-            return two_color(edges)
+            return two_colorable(edges)
 
-        monkeypatch.setattr(lowerbound, "_two_color", counted)
+        monkeypatch.setattr(lowerbound, "_two_colorable", counted)
         assert cmd_replay(None).passed
         assert len(calls) == 7
 
@@ -193,6 +195,26 @@ class TestCaseReplay:
                     labels.append(f"({x},{y},{z})")
             checks = replay_case(witness.case_id).tuple_checks
             assert [label for label, *_ in checks] == labels
+
+    def test_apart_is_every_forced_pair_and_no_two_coloring_splits_them(self):
+        # The certificate, rebuilt apart from the package: the pairs come from
+        # string-level evaluation, and every 2-coloring of their words is tried.
+        for witness in CASES.values():
+            xs = [p.x for p in witness.probes]
+            pairs = forced_apart(xs, witness.class_members)
+            feasibility = replay_case(witness.case_id).feasibility
+            assert feasibility.apart == pairs, witness.case_id
+            assert proper_two_colorings(pairs) == [], witness.case_id
+            # One receiver input alone leaves a split, and the package finds it.
+            for x in xs:
+                single = carol_partition_feasible([x], witness.class_members)
+                assert single.apart == forced_apart([x], witness.class_members)
+                assert single.feasible and proper_two_colorings(single.apart)
+
+    def test_case_221_forces_four_words_pairwise_apart(self):
+        words = ("001", "010", "100", "111")
+        apart = replay_case("2.2.1").feasibility.apart
+        assert apart == tuple(itertools.combinations(words, 2))
 
     @pytest.mark.parametrize(
         "case_id,edit,failure",
@@ -491,8 +513,8 @@ class TestTwoPartySearches:
 
     @pytest.mark.parametrize(
         "rows",
-        [(), (0,), (0, 1, 1), (0,) * 6, (0, 4), (0, 0, 0, 16), (0, -1), (0, 1.0)],
-        ids=["none", "one", "three", "six", "bit_2", "bit_4", "negative", "float"],
+        [(), (0,), (0, 1, 1), (0,) * 6, (0, 4), (0, 0, 0, 16), (0, -1), (0, 1.0), (0, True)],
+        ids=["none", "one", "three", "six", "bit_2", "bit_4", "negative", "float", "bool"],
     )
     def test_malformed_rows_rejected(self, rows):
         for check in (search_two_party_one_bit, send_y_computes_f3):

@@ -5,6 +5,7 @@ import itertools
 import math
 import pickle
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -126,8 +127,10 @@ class TestTransformedState:
         assert sum(probability(state, b) for b in support(state)) == 1
 
     def test_bad_bits_rejected(self):
-        with pytest.raises(ValueError):
-            transformed_state((0, 2, 0))
+        # A column of another length is refused too, not read up to three bits.
+        for column in ((0, 2, 0), (1, 1), (0, 0, 1, 1)):
+            with pytest.raises(ValueError, match=re.escape(str(column))):
+                transformed_state(column)
 
 
 class TestLemma1:
