@@ -29,16 +29,18 @@ def verify_cases(report: Report) -> None:
             case.passed,
             tuples=len(case.tuple_checks),
             joint_feasible=case.feasibility.feasible,
+            **({"failures": list(case.failures)} if case.failures else {}),
         )
     coverage = lowerbound.case_cover_check()
-    report.check(
-        "case_cover",
-        coverage.passed,
-        partitions=coverage.total,
-        mapped=len(coverage.assignments),
-        unmapped=len(coverage.unmapped),
-        counts={k: v for k, v in sorted(coverage.counts.items())},
-    )
+    _check_cover(report, coverage, mapped=len(coverage.assignments),
+                 unmapped=len(coverage.unmapped))
+
+
+def _check_cover(report: Report, coverage: lowerbound.CoverageReport, **tallies: int) -> None:
+    """The coverage check: a failing one names its unmapped masks."""
+    report.check("case_cover", coverage.passed, partitions=coverage.total, **tallies,
+                 counts=dict(sorted(coverage.counts.items())),
+                 **({"unmapped_masks": list(coverage.unmapped)} if coverage.unmapped else {}))
 
 
 def _search_zero(report: Report, result: lowerbound.SearchResult, check: str, **note: Any) -> None:
@@ -96,10 +98,4 @@ def replay(report: Report, case: str | None) -> None:
         )
         report.check(f"case_{case_id}", result.passed, failures=list(result.failures))
     if case is None:
-        coverage = lowerbound.case_cover_check()
-        report.check(
-            "case_cover",
-            coverage.passed,
-            partitions=coverage.total,
-            counts={k: v for k, v in sorted(coverage.counts.items())},
-        )
+        _check_cover(report, lowerbound.case_cover_check())

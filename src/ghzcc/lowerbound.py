@@ -13,8 +13,9 @@ Two independent routes to the same fact:
   is the two-party inner product because f = x.y on the promise, and the
   one-bit two-party space for the imported parity fact), all counted by
   one in-process engine whose valid-message bitmaps have a closed form, so
-  the whole space is decided exactly at desk scale; a direct fiber loop is
-  the independent oracle.
+  the whole space is decided exactly at desk scale. The three-bit
+  protocol's messages pass the same validity test. The engine-free oracles
+  are in the tests.
 
 Length-3 words are handled as ints 0..7 whose binary digits read position 1
 first ("011" <-> 3); the constraint z = x XOR y XOR 111 and the target
@@ -472,34 +473,24 @@ def search_two_party_ip3(workers: int = 1) -> SearchResult:
     return _count_protocols("two_party_ip3", _ghz_game(), ("A", "B"), ("A", "B"), workers)
 
 
-def _fibers_constant(transcript) -> bool:
-    """Is the game value f3(x, y) constant on every (x, transcript(x, y)) fiber?
-
-    A direct loop with no bitmaps: the independent oracle for the engine.
-    """
-    for x in range(8):
-        seen: dict = {}
-        for y in range(8):
-            v = f3(x, y)
-            if seen.setdefault(transcript(x, y), v) != v:
-                return False
-    return True
-
-
-def _three_bit_transcript(x: int, y: int) -> tuple[int, int]:
-    z = third_word(x, y)
-    return (3 - y.bit_count()) & 3, ((3 - z.bit_count()) & 3) >> 1
+def _three_bit_masks() -> tuple[int, int, int]:
+    """The three-bit protocol's bits as sent, each a mask over its sender's words:
+    Bob's zero count mod 4, high bit then low bit, then Carol's high bit."""
+    high, low = (sum(((3 - v.bit_count()) >> b & 1) << v for v in range(8)) for b in (1, 0))
+    return high, low, high
 
 
 def three_bit_messages_feasible() -> bool:
-    """Run the three-bit protocol's message functions through the fiber check.
+    """Does the engine validate the three-bit protocol's messages?
 
-    Bob announces his zero count mod 4 (a four-valued broadcast); Carol adds
-    the high bit of hers. Correct iff the game value is constant on every
-    (x, transcript) fiber, which certifies that a three-bit budget is
-    attainable in the same model the two-bit search exhausts.
+    Bob's two masks split y into four classes s; at every receiver input x,
+    Carol's mask must leave f constant on both fibers of each s. The searches
+    count with this test, so an engine that empties its valid sets fails it.
     """
-    return _fibers_constant(_three_bit_transcript)
+    game = _ghz_game()
+    high, low, carol = _three_bit_masks()
+    classes = [b1 & b0 for b1 in (high, 255 ^ high) for b0 in (low, 255 ^ low)]
+    return all(game.valid_bitmap("C", x, s) >> carol & 1 for x in range(8) for s in classes)
 
 
 # ---------------------------------------------------------------------------

@@ -118,10 +118,26 @@ MUTANTS = (
     # The bit-1 branch's counts stand in for the bit-0 branch too.
     ("src/ghzcc/lowerbound.py", "zip(second, counts[m1 ^ full])", "zip(second, counts[m1])",
      ["tests/test_lowerbound.py::TestBlackboardSearch::test_breakdown_matches_two_branch_oracle"]),
+    # Carol sends the low bit of her zero count, not the high one.
+    ("src/ghzcc/lowerbound.py", "return high, low, high", "return high, low, low",
+     ["tests/test_lowerbound.py::TestBroadcastSearch::"
+      "test_three_bit_messages_match_the_protocol"]),
+    # Bob's two bits join into the union of their classes, not the intersection.
+    ("src/ghzcc/lowerbound.py", "b1 & b0 for b1", "b1 | b0 for b1",
+     ["tests/test_lowerbound.py::TestBroadcastSearch::"
+      "test_three_bit_messages_pass_the_same_fiber_check"]),
+    # A message splitting s as "s minus row" is never valid.
+    ("src/ghzcc/lowerbound.py", "return free << hits | free << (s ^ hits)",
+     "return free << hits",
+     ["tests/test_cli.py::TestSearch::test_paper_scope"]),
     # The third word without the promise's all-ones column.
     ("src/ghzcc/lowerbound.py", "return x ^ y ^ ALL3", "return x ^ y",
      ["tests/test_lowerbound.py::TestTwoPartySearches::"
       "test_ip3_is_the_carol_free_blackboard_slice"]),
+    # A failing case check in verify no longer names its failures.
+    ("src/ghzcc/bounds.py",
+     '            **({"failures": list(case.failures)} if case.failures else {}),\n', "",
+     ["tests/test_cli.py::test_a_failing_case_check_names_its_failures"]),
     # An in-process demo compiles the lower-bound code.
     ("src/ghzcc/cli.py", "from . import bitcore\n", "from . import bitcore, lowerbound\n",
      ["tests/test_package.py::test_demo_and_verify_without_cases_load_no_lowerbound"]),

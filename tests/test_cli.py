@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from ghzcc import bitcore, bounds, cli, protocols, qsim
+from ghzcc import bitcore, bounds, cli, lowerbound, protocols, qsim
 from ghzcc.bitcore import BitString, InvariantViolation
 from ghzcc.cli import (
     EXIT_CHECK_FAILED,
@@ -123,17 +123,25 @@ class TestSearch:
         assert "relay_b_then_c_zero_feasible" in names
 
     def test_unknown_scope_raises_before_any_search(self, monkeypatch):
-        monkeypatch.setattr(cli, "Report", lambda *args: pytest.fail("command ran"))
+        # bounds.search alone refuses the scope, before it counts anything.
+        for name in dir(lowerbound):
+            if name.startswith("search_"):
+                monkeypatch.setattr(lowerbound, name, lambda *a, **k: pytest.fail("searched"))
         with pytest.raises(ValueError, match="'blackbord'"):
             cmd_search("blackbord", 1, 0)
 
     def test_checker_refuses_an_unknown_scope(self):
-        # cmd_search rejects the scope before it makes a Report; the checker
-        # must not pass a report with nothing checked when called directly.
+        # The checker must not pass a report with nothing checked.
         report = cli.Report("search", {})
         with pytest.raises(ValueError, match="'bogus'"):
             bounds.search(report, "bogus", 1)
         assert (report.info, report.checks) == ([], [])
+
+    def test_an_engine_that_validates_nothing_fails_the_three_bit_check(self, monkeypatch):
+        # The zero may still read 0; the three-bit line asks the same engine and fails.
+        monkeypatch.setattr(lowerbound, "_split_bitmap", lambda row, s, full: 0)
+        checks = {c["name"]: c["passed"] for c in cmd_search("paper", 1, 0).checks}
+        assert checks["three_bit_messages_feasible"] is False
 
 
 @pytest.mark.parametrize(
@@ -224,6 +232,43 @@ class TestReplay:
         # Only None means all cases; "" must not replay all seven as "case: all".
         with pytest.raises(ValueError, match="unknown case id ''"):
             cmd_replay("")
+
+
+def test_a_failing_case_check_names_its_failures(monkeypatch):
+    # Case 1's first listed value flipped: verify names the failure replay prints.
+    witness = CASES["1"]
+    probes = (witness.probes[0]._replace(f_values=(0, 0, 1)), *witness.probes[1:])
+    monkeypatch.setattr(lowerbound, "CASES", {**CASES, "1": witness._replace(probes=probes)})
+    failures = ["(001,001,111): listed value 0, re-derived 1 (packed 1)"]
+    verify = {c["name"]: c for c in cmd_verify("cases", 1, 0).checks}
+    replay = {c["name"]: c for c in cmd_replay(None).checks}
+    assert verify["case_1"]["failures"] == replay["case_1"]["failures"] == failures
+    assert not verify["case_1"]["passed"] and "failures" not in verify["case_2.1.1"]
+
+
+def _without_the_2_2_2_class(monkeypatch):
+    # Side 1 never holds 000, so no partition is mapped onto case 2.2.2.
+    monkeypatch.setattr(lowerbound, "CASES",
+                        {**CASES, "2.2.2": CASES["2.2.2"]._replace(class_side=1)})
+
+
+def _no_permutation_fits(monkeypatch):
+    # Each permuted class holds 8, a word no side has, so no partition is mapped.
+    monkeypatch.setattr(lowerbound, "_permute_set", lambda values, perm: frozenset({8}))
+
+
+@pytest.mark.parametrize(
+    "patch, unmapped",
+    [(_without_the_2_2_2_class, [a.partition for a in lowerbound.case_cover_check().assignments
+                                 if a.case_id == "2.2.2"]),
+     (_no_permutation_fits, list(range(0, 256, 2)))],
+    ids=["class_side", "permute_set"],
+)
+def test_a_failing_case_cover_names_its_unmapped_masks(patch, unmapped, monkeypatch):
+    patch(monkeypatch)
+    for report in (cmd_verify("cases", 1, 0), cmd_replay(None)):
+        cover = next(c for c in report.checks if c["name"] == "case_cover")
+        assert not cover["passed"] and cover["unmapped_masks"] == unmapped
 
 
 class TestReportFormats:

@@ -32,7 +32,7 @@ from ghzcc.lowerbound import (
     _ghz_game,
     _s,
     _side,
-    _three_bit_transcript,
+    _three_bit_masks,
     _two_party_game,
     _xor_pull,
     carol_partition_feasible,
@@ -330,12 +330,16 @@ class TestBroadcastSearch:
         assert three_bit_messages_feasible()
 
     def test_three_bit_messages_match_the_protocol(self):
-        # The fiber check re-implements Bob's and Carol's messages on packed
-        # words; both copies must send the same bits on every triple.
+        # The engine check reads the protocol's bits as masks over each sender's
+        # word: they must send the protocol's bits on every triple. The engine-free
+        # reference: f is constant on every (x, three bits) fiber of the printed words.
+        high, low, carol = _three_bit_masks()
+        fibers = {}
         for t in enumerate_promise(3):
-            b0, b1, b2 = run_classical_three_bit(t).bits
-            x, y = _as_value(str(t.x)), _as_value(str(t.y))
-            assert _three_bit_transcript(x, y) == ((b0 << 1) | b1, b2), t
+            y, z = _as_value(str(t.y)), _as_value(str(t.z))
+            bits = (high >> y & 1, low >> y & 1, carol >> z & 1)
+            assert run_classical_three_bit(t).bits == bits, t
+            assert fibers.setdefault((str(t.x), bits), f_ghz(t)) == f_ghz(t), t
 
 
 class TestBlackboardSearch:
