@@ -5,11 +5,12 @@ line-delimited JSON document. Timing is isolated in a dedicated trailing
 record so that reports with identical parameters and seeds are byte-identical
 everywhere else.
 
-A command loads only the checker it runs: `runs` (with the protocol and
-quantum layers) for `cmd_demo` and verify's lemma1, quantum and classical
-sections; `bounds` (with `lowerbound`) for `cmd_search`, `cmd_replay` and
-verify's cases section. `lowerbound.replay_case` alone refuses an unknown
-case id, so a demo or verify without cases compiles no lower-bound code.
+A command loads only the layer it runs: `protocols` (with `qsim`), whose run
+checker holds the bodies of `cmd_demo` and verify's lemma1, quantum and
+classical sections; `lowerbound`, whose lower-bound checker holds the bodies
+of `cmd_search`, `cmd_replay` and verify's cases section.
+`lowerbound.replay_case` alone refuses an unknown case id, so a demo or
+verify without cases compiles no lower-bound code.
 """
 
 from __future__ import annotations
@@ -35,15 +36,15 @@ MAX_VERIFY_N = 8
 
 
 @functools.cache
-def _runs():
-    """The run checker (`runs`), imported by the first demo or verify.
+def _protocols():
+    """The protocol layer and its run checker, imported by the first demo or verify.
 
-    Search and replay never load it or the layers it imports. A cached call
-    costs less per demo request than an import statement.
+    Search and replay never load it or `qsim`. A cached call costs less per
+    demo request than an import statement.
     """
-    from . import runs
+    from . import protocols
 
-    return runs
+    return protocols
 
 
 class Report:
@@ -159,7 +160,7 @@ def cmd_demo(n: int, seed: int) -> Report:
     """
     _check_ints(seed, n)
     report = Report("demo", {"n": n, "seed": seed})
-    _runs().demo(report, n, seed)
+    _protocols().demo(report, n, seed)
     return report.finish()
 
 
@@ -177,15 +178,15 @@ def cmd_verify(scope: str, n: int, seed: int) -> Report:
         raise ValueError(f"verify n must be in 1..{MAX_VERIFY_N}, got {n}")
     report = Report("verify", {"scope": scope, "n": n, "seed": seed})
     if scope in ("lemma1", "all"):
-        _runs().verify_lemma1(report)
+        _protocols().verify_lemma1(report)
     if scope in ("quantum", "all"):
-        _runs().verify_quantum(report, n, seed)
+        _protocols().verify_quantum(report, n, seed)
     if scope in ("classical", "all"):
-        _runs().verify_classical(report, n)
+        _protocols().verify_classical(report, n)
     if scope in ("cases", "all"):
-        from . import bounds
+        from . import lowerbound
 
-        bounds.verify_cases(report)
+        lowerbound.verify_cases(report)
     return report.finish()
 
 
@@ -196,10 +197,10 @@ def cmd_search(scope: str, workers: int, seed: int) -> Report:
     and a seed or worker count that is not an int TypeError, before any count.
     """
     _check_ints(seed, workers, "workers")
-    from . import bounds
+    from . import lowerbound
 
     report = Report("search", {"scope": scope, "workers": workers, "seed": seed})
-    bounds.search(report, scope, workers)
+    lowerbound.search(report, scope, workers)
     return report.finish()
 
 
@@ -208,10 +209,10 @@ def cmd_replay(case: str | None) -> Report:
 
     An unknown case id, the empty one included, raises ValueError.
     """
-    from . import bounds
+    from . import lowerbound
 
     report = Report("replay", {"case": "all" if case is None else case, "seed": 0})
-    bounds.replay(report, case)
+    lowerbound.replay(report, case)
     return report.finish()
 
 

@@ -20,15 +20,28 @@ Two independent routes to the same fact:
 Length-3 words are handled as ints 0..7 whose binary digits read position 1
 first ("011" <-> 3); the constraint z = x XOR y XOR 111 and the target
 f = XOR_i (x_i AND y_i AND z_i) are bitwise, so the packing is free.
+
+The lower-bound checker at the end reports both routes as checks: `search`
+runs one search scope, `replay` replays the elimination cases, and
+`verify_cases` is verify's cases section. Each fills a `cli.Report`. Search,
+replay and verify's cases section load this module; a demo or verify without
+cases never does. This module never loads `protocols` or `qsim`.
+
+Calls within this module read its globals, so a wrapper set on a module
+attribute sees each call.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Mapping, NamedTuple, Sequence
 
-from .bitcore import PromiseTriple, PromiseViolation, _two_party_rows, f_ghz
+from .bitcore import (PromiseTriple, PromiseViolation, _two_party_rows, f_ghz,
+                      inner_product_table, parity_table)
+
+if TYPE_CHECKING:
+    from .cli import Report
 
 ALL3 = 7  # all-ones word of length 3
 _PERMS = tuple(itertools.permutations((0, 1, 2)))
@@ -505,9 +518,9 @@ def search_two_party_one_bit(rows: Sequence[int]) -> int:
     row into f-constant fibers, and sender A only works (with any of her
     masks) if f is already determined by her own word.
     """
-    game = _two_party_game(rows)
     if len(rows) > 16:
         raise ValueError(f"one-bit search supports length <= 4, got {len(rows)} rows")
+    game = _two_party_game(rows)
     return sum(game.branch_counts((game.full,) * len(game.rows), ("A", "B")))
 
 
@@ -519,3 +532,79 @@ def send_y_computes_f3(rows: Sequence[int]) -> bool:
     table passes and a table of any other function fails.
     """
     return _two_party_game(rows).rows == _ghz_game().rows
+
+
+def verify_cases(report: Report) -> None:
+    """Verify's cases section: each elimination case, then the partition coverage."""
+    for case_id in sorted(CASES):
+        case = replay_case(case_id)
+        report.check(
+            f"case_{case_id}",
+            case.passed,
+            tuples=len(case.tuple_checks),
+            joint_feasible=case.feasibility.feasible,
+            **({"failures": list(case.failures)} if case.failures else {}),
+        )
+    coverage = case_cover_check()
+    _check_cover(report, coverage, mapped=len(coverage.assignments),
+                 unmapped=len(coverage.unmapped))
+
+
+def _check_cover(report: Report, coverage: CoverageReport, **tallies: int) -> None:
+    """The coverage check: a failing one names its unmapped masks."""
+    report.check("case_cover", coverage.passed, partitions=coverage.total, **tallies,
+                 counts=dict(sorted(coverage.counts.items())),
+                 **({"unmapped_masks": list(coverage.unmapped)} if coverage.unmapped else {}))
+
+
+def _search_zero(report: Report, result: SearchResult, check: str, **note: Any) -> None:
+    """Note a search result and check that no candidate is feasible."""
+    feasible, candidates = result.feasible, result.candidates
+    report.note("search", name=result.name, candidates=candidates, feasible=feasible, **note)
+    report.check(check, feasible == 0, feasible=feasible, candidates=candidates)
+
+
+def search(report: Report, scope: str, workers: int) -> None:
+    """Run the lower-bound search of one scope, as `cli.SEARCH_SCOPES` names it.
+
+    An unknown scope raises ValueError, with nothing written to the report.
+    """
+    if scope == "paper":
+        result = search_bob_broadcast_carol(workers=workers)
+        _search_zero(report, result, "broadcast_response_zero_feasible")
+        report.check("three_bit_messages_feasible", three_bit_messages_feasible())
+    elif scope == "blackboard":
+        result = search_blackboard_two_bit(workers=workers)
+        breakdown = result.breakdown
+        _search_zero(report, result, "blackboard_zero_feasible",
+                     breakdown={"{}-{}/{}".format(*k): v for k, v in breakdown.items()})
+        alice_first = sum(v for k, v in breakdown.items() if k[0] == "A")
+        report.check("alice_first_zero_feasible", alice_first == 0)
+        report.check("relay_b_then_c_zero_feasible", breakdown["B", "C", "C"] == 0)
+    elif scope == "ip3":
+        result = search_two_party_ip3(workers=workers)
+        _search_zero(report, result, "ip3_two_bit_zero_feasible")
+        report.check("ip3_three_bit_feasible", send_y_computes_f3(inner_product_table(3)))
+        for n in range(1, 5):
+            feasible = search_two_party_one_bit(parity_table(n))
+            report.check(f"parity_one_bit_feasible_n{n}", feasible >= 1, feasible=feasible)
+    else:
+        raise ValueError(f"unknown search scope {scope!r}")
+
+
+def replay(report: Report, case: str | None) -> None:
+    """Replay one elimination case, or all seven plus the coverage check if None."""
+    ids = sorted(CASES) if case is None else [case]
+    for case_id in ids:
+        result = replay_case(case_id)
+        report.note(
+            "case",
+            id=result.case_id,
+            header=result.header,
+            tuples=[list(check) for check in result.tuple_checks],
+            apart=[list(p) for p in result.feasibility.apart],
+            joint_feasible=result.feasibility.feasible,
+        )
+        report.check(f"case_{case_id}", result.passed, failures=list(result.failures))
+    if case is None:
+        _check_cover(report, case_cover_check())

@@ -89,13 +89,21 @@ MUTANTS = (
     ("src/ghzcc/protocols.py", "if r_a + r_b + r_c != 2 * k:", "if False:",
      ["tests/test_protocols.py::TestCountingIdentity::test_run_path_rejects_broken_identity"]),
     # Demo expects its quantum run to cost 5 bits: its cost check must read the judge.
-    ("src/ghzcc/runs.py", "_judge(direct, 2, _quantum", "_judge(direct, 5, _quantum",
+    ("src/ghzcc/protocols.py", "_judge(direct, 2, _quantum", "_judge(direct, 5, _quantum",
      ["tests/test_cli.py::TestDemo::test_outputs_agree_and_pass"]),
     # A fault outside the one package fault type escapes the run checker.
-    ("src/ghzcc/runs.py", "except bitcore.InvariantViolation as exc:",
+    ("src/ghzcc/protocols.py", "except InvariantViolation as exc:",
      "except ValueError as exc:",
      ["tests/test_cli.py::test_lemma1_state_fault_is_a_failed_check",
       "tests/test_cli.py::test_an_inexact_law_fails_every_lemma1_check"]),
+    # Demo reads bitcore.f_ghz, past the binding perfbench traces in protocols.
+    ("src/ghzcc/protocols.py", "direct = f_ghz(t)", "direct = bitcore.f_ghz(t)",
+     ["tests/test_package.py::test_demo_reads_f_ghz_at_its_perfbench_binding"]),
+    # The classical sweep enumerates past the generator perfbench traces.
+    ("src/ghzcc/protocols.py",
+     "three = count = None\n        for t in bitcore.enumerate_promise(n):",
+     "three = count = None\n        for t in bitcore._promise_triples(n):",
+     ["tests/test_package.py::test_perfbench_pinned_counts"]),
     # Every listed case value passes replay.
     ("src/ghzcc/lowerbound.py", "ok = got == expected == packed", "ok = True",
      ["tests/test_lowerbound.py::TestCaseReplay::test_mutated_case_fails_replay"]),
@@ -130,12 +138,16 @@ MUTANTS = (
     ("src/ghzcc/lowerbound.py", "return free << hits | free << (s ^ hits)",
      "return free << hits",
      ["tests/test_cli.py::TestSearch::test_paper_scope"]),
+    # Only the submasks without free's lowest bit: most valid messages drop out.
+    ("src/ghzcc/lowerbound.py", "return rest | rest << low", "return rest",
+     ["tests/test_lowerbound.py::TestClosedFormBitmaps::test_three_party_views",
+      "tests/test_cli.py::TestSearch::test_paper_scope"]),
     # The third word without the promise's all-ones column.
     ("src/ghzcc/lowerbound.py", "return x ^ y ^ ALL3", "return x ^ y",
      ["tests/test_lowerbound.py::TestTwoPartySearches::"
       "test_ip3_is_the_carol_free_blackboard_slice"]),
     # A failing case check in verify no longer names its failures.
-    ("src/ghzcc/bounds.py",
+    ("src/ghzcc/lowerbound.py",
      '            **({"failures": list(case.failures)} if case.failures else {}),\n', "",
      ["tests/test_cli.py::test_a_failing_case_check_names_its_failures"]),
     # An in-process demo compiles the lower-bound code.

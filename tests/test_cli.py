@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from ghzcc import bitcore, bounds, cli, lowerbound, protocols, qsim
+from ghzcc import bitcore, cli, lowerbound, protocols, qsim
 from ghzcc.bitcore import BitString, InvariantViolation
 from ghzcc.cli import (
     EXIT_CHECK_FAILED,
@@ -123,7 +123,7 @@ class TestSearch:
         assert "relay_b_then_c_zero_feasible" in names
 
     def test_unknown_scope_raises_before_any_search(self, monkeypatch):
-        # bounds.search alone refuses the scope, before it counts anything.
+        # lowerbound.search alone refuses the scope, before it counts anything.
         for name in dir(lowerbound):
             if name.startswith("search_"):
                 monkeypatch.setattr(lowerbound, name, lambda *a, **k: pytest.fail("searched"))
@@ -134,7 +134,7 @@ class TestSearch:
         # The checker must not pass a report with nothing checked.
         report = cli.Report("search", {})
         with pytest.raises(ValueError, match="'bogus'"):
-            bounds.search(report, "bogus", 1)
+            lowerbound.search(report, "bogus", 1)
         assert (report.info, report.checks) == ([], [])
 
     def test_an_engine_that_validates_nothing_fails_the_three_bit_check(self, monkeypatch):

@@ -511,8 +511,13 @@ class TestTwoPartySearches:
         assert result.breakdown == two_branch_breakdown(_two_party_game(rows), "AB", "AB")
         assert result.feasible == total
 
-    def test_length_limits(self):
+    def test_length_limits(self, monkeypatch):
         with pytest.raises(ValueError):
+            search_two_party_one_bit(parity_table(5))
+        # The length is refused before the game is built.
+        monkeypatch.setattr(lowerbound, "_two_party_game",
+                            lambda rows: pytest.fail("built the game"))
+        with pytest.raises(ValueError, match="length <= 4, got 32 rows"):
             search_two_party_one_bit(parity_table(5))
 
     @pytest.mark.parametrize(

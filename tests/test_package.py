@@ -17,10 +17,10 @@ ROOT = Path(__file__).resolve().parents[1]
 # Introspection, which no command needs: dataclasses loads inspect.
 REFLECTION = ("dataclasses", "inspect")
 # The layers that search and replay must never load.
-HEAVY = ("ghzcc.protocols", "ghzcc.qsim", "ghzcc.runs", *REFLECTION)
-# The lower-bound checker and the layer under it, which demo and verify
-# without cases must never load.
-LOWER = ("ghzcc.bounds", "ghzcc.lowerbound")
+HEAVY = ("ghzcc.protocols", "ghzcc.qsim", *REFLECTION)
+# The lower-bound layer and its checker, which demo and verify without cases
+# must never load.
+LOWER = ("ghzcc.lowerbound",)
 # Exact rational arithmetic: qsim states each outcome law in integer eighths,
 # so no demo or verify run needs it.
 RATIONAL = ("fractions", "decimal")
@@ -85,8 +85,8 @@ def test_search_and_replay_load_no_protocol_layer(isolation, step):
         assert set(LOWER) <= set(loaded)
 
 
-# Runs in one process, in order: none before the cases section may load bounds
-# or lowerbound, whether called in-process or through main and its parser.
+# Runs in one process, in order: none before the cases section may load
+# lowerbound, whether called in-process or through main and its parser.
 RUN_STEPS = [
     "cli.cmd_demo(32, 0).passed",
     *(f"cli.cmd_verify({scope!r}, 2, 0).passed" for scope in ("lemma1", "quantum", "classical")),
@@ -105,7 +105,7 @@ def run_isolation():
 def test_demo_and_verify_without_cases_load_no_lowerbound(run_isolation):
     seen, _ = run_isolation
     assert seen["import ghzcc.cli"][1] == []
-    assert {"ghzcc.protocols", "ghzcc.qsim", "ghzcc.runs"} <= set(seen[RUN_STEPS[0]][1])
+    assert {"ghzcc.protocols", "ghzcc.qsim"} <= set(seen[RUN_STEPS[0]][1])
     for step in RUN_STEPS[:-1]:
         passed, loaded = seen[step]
         assert passed is True, step
@@ -131,14 +131,12 @@ def test_cases_and_all_load_lowerbound(run_isolation):
         assert set(LOWER) <= set(loaded)
 
 
-# The relative imports of each module, outside TYPE_CHECKING blocks: cli
-# reaches lowerbound only through bounds, and runs and bounds never meet.
+# The relative imports of each module, outside TYPE_CHECKING blocks: protocols
+# and lowerbound never meet.
 IMPORTS = {
     "__init__": set(),
     "__main__": {"cli"},
-    "cli": {"bitcore", "runs", "bounds"},
-    "runs": {"bitcore", "protocols", "qsim"},
-    "bounds": {"bitcore", "lowerbound"},
+    "cli": {"bitcore", "protocols", "lowerbound"},
     "protocols": {"bitcore", "qsim"},
     "qsim": {"bitcore"},
     "lowerbound": {"bitcore"},
@@ -236,6 +234,25 @@ def test_perfbench_pinned_counts(monkeypatch):
     calls.clear()
     assert cli.cmd_replay(None).passed
     assert calls == {"replay_case": 7}
+
+
+def test_demo_reads_f_ghz_at_its_perfbench_binding(monkeypatch):
+    # perfbench/spans.py counts bitcore.f_ghz at ("ghzcc.protocols", "f_ghz") too:
+    # a demo reads its direct value once, through that binding.
+    from ghzcc import cli, protocols
+
+    calls = []
+    f_ghz = protocols.f_ghz
+
+    def counting(t):
+        calls.append(t)
+        return f_ghz(t)
+
+    monkeypatch.setattr(protocols, "f_ghz", counting)
+    for seed in (0, 1, 7):
+        calls.clear()
+        assert cli.cmd_demo(32, seed).passed
+        assert len(calls) == 1, seed
 
 
 # Public names that no package code reads, each with the reason it stays.
