@@ -69,6 +69,7 @@ class FrozenValue:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
+        # copy, deepcopy and pickle would otherwise set slots, which __setattr__ refuses.
         return type(self), tuple(self._fields().values())
 
 

@@ -3,10 +3,10 @@
 Two independent routes to the same fact:
 
 * replay of the seven named elimination cases ("1", "2.1.1".."2.1.4",
-  "2.2.1", "2.2.2"), each a pair of receiver inputs whose answer-value
-  constraints on the third party's one-bit partition are jointly
-  2-coloring-infeasible, plus a coverage check mapping all 128 normalized
-  broadcast partitions onto those cases under bit-position symmetry;
+  "2.2.1", "2.2.2"), each a pair of receiver inputs whose forced-apart pairs
+  of the third party's words no one-bit split of those words separates (all
+  are tried), plus a coverage check mapping all 128 normalized broadcast
+  partitions onto those cases under bit-position symmetry;
 
 * exhaustive searches over the deterministic protocol spaces (broadcast +
   response, full adaptive two-bit blackboard, its Carol-free slice, which
@@ -79,7 +79,7 @@ def _permute_set(values: Iterable[int], perm: tuple[int, int, int]) -> frozenset
 
 
 # ---------------------------------------------------------------------------
-# Broadcast partitions and the constraint-graph (2-coloring) route
+# Broadcast partitions and Carol's one-bit splits (the case route)
 # ---------------------------------------------------------------------------
 
 
@@ -93,7 +93,7 @@ class CarolFeasibility(NamedTuple):
 
     candidates: each receiver input's (y, z, f) completions. apart: z pairs
     whose answer values differ for some receiver input, so they can never
-    share a class. feasible: the apart graph is 2-colorable.
+    share a class. feasible: some one-bit split of z separates every apart pair.
     """
 
     candidates: Mapping[str, tuple[tuple[str, str, int], ...]]
@@ -102,26 +102,12 @@ class CarolFeasibility(NamedTuple):
 
 
 def _two_colorable(edges: set[tuple[int, int]]) -> bool:
-    """Does the apart graph have a 2-coloring that splits every edge?"""
-    adj: dict[int, set[int]] = {}
-    for u, v in edges:
-        adj.setdefault(u, set()).add(v)
-        adj.setdefault(v, set()).add(u)
-    color: dict[int, int] = {}
-    for start in adj:
-        if start in color:
-            continue
-        color[start] = 0
-        queue = [start]
-        while queue:
-            u = queue.pop()
-            for w in adj[u]:
-                if w not in color:
-                    color[w] = color[u] ^ 1
-                    queue.append(w)
-                elif color[w] == color[u]:
-                    return False
-    return True
+    """Does one of the 2^k splits of the k words the pairs name (Carol's one-bit
+    message on them, bit i for words[i]) give the two words of every pair different bits?"""
+    words = sorted({w for edge in edges for w in edge})
+    pairs = [(words.index(u), words.index(v)) for u, v in edges]
+    return any(all((split >> i ^ split >> j) & 1 for i, j in pairs)
+               for split in range(1 << len(words)))
 
 
 def carol_partition_feasible(xs: Sequence[str], bob_class: Iterable[str]) -> CarolFeasibility:
@@ -130,9 +116,9 @@ def carol_partition_feasible(xs: Sequence[str], bob_class: Iterable[str]) -> Car
     For each receiver input x, the consistent completions are (y, z) with y
     in Bob's announced class and z forced by the promise; a one-bit split of
     z works for x exactly when the answer value is constant inside each
-    class. Pairs with different answers must therefore be split, which is a
-    graph 2-coloring problem; joint feasibility merges the graphs of all
-    supplied x values.
+    class. Pairs with different answers must therefore be split; joint
+    feasibility asks for one split of the words in play that separates the
+    pairs of all supplied x values, and tries every split.
     """
     x_vals = [_as_value(x) for x in xs]
     class_vals = sorted({_as_value(y) for y in bob_class})
@@ -217,8 +203,7 @@ def replay_case(case_id: str) -> CaseReport:
     Each probe's completions (x, y, z) over the case's class come from the
     promise; each must be a promise triple, its listed game value must be
     re-derivable (both through the triple evaluation and the packed form),
-    and the receiver inputs' constraints must be jointly 2-coloring
-    infeasible.
+    and no split of Carol's words may separate all their forced-apart pairs.
     """
     try:
         witness = CASES[case_id]

@@ -3,11 +3,13 @@ names the tests that must catch it.
 
     python tests/mutants.py
 
-copies src, tests and pyproject.toml into a temporary directory (all three:
-pyproject.toml's pythonpath = ["src"] would otherwise put the unmutated src
-first). For each entry it applies the one replacement there, runs
+copies src, tests and pyproject.toml into one worker tree per CPU, up to
+os.cpu_count() and never more (all three: pyproject.toml's pythonpath =
+["src"] would otherwise put the unmutated src first). Each entry takes a free
+tree, applies its one replacement there, runs
 `python -m pytest -q -x -p no:cacheprovider <test ids>`, and restores the
-file. A run that fails a test (exit 1) or stops on a collection error (exit 2)
+file. The trees run entries side by side; the verdict lines print in catalogue
+order. A run that fails a test (exit 1) or stops on a collection error (exit 2)
 kills the mutant. The script exits 1 naming every mutant whose run exits 0,
 and every entry whose snippet does not occur exactly once or whose run exits
 with any other code (an unknown test id exits 4).
@@ -19,11 +21,13 @@ occurs exactly once and that each test id names an existing test function.
 from __future__ import annotations
 
 import os
+import queue
 import shutil
 import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -107,9 +111,13 @@ MUTANTS = (
     # Every listed case value passes replay.
     ("src/ghzcc/lowerbound.py", "ok = got == expected == packed", "ok = True",
      ["tests/test_lowerbound.py::TestCaseReplay::test_mutated_case_fails_replay"]),
-    # Two words of one color never conflict: every apart graph looks 2-colorable.
-    ("src/ghzcc/lowerbound.py", "elif color[w] == color[u]:", "elif color[w] != color[u]:",
+    # A pair counts as split when either word gets bit 1: every apart graph has a split.
+    ("src/ghzcc/lowerbound.py", "(split >> i ^ split >> j) & 1", "(split >> i | split >> j) & 1",
      [REPLAY_CERTIFICATE]),
+    # One apart pair goes unchecked: an odd cycle less a pair is a path, which has a split.
+    ("src/ghzcc/lowerbound.py", "for i, j in pairs)", "for i, j in pairs[1:])",
+     ["tests/test_lowerbound.py::TestTwoColorable::"
+      "test_odd_cycles_without_a_triangle_are_refused"]),
     # The apart pairs are the completions with equal answers.
     ("src/ghzcc/lowerbound.py", "if f1 != f2", "if f1 == f2",
      [REPLAY_CERTIFICATE]),
@@ -220,39 +228,57 @@ MUTANTS = (
 )
 
 
-def main() -> int:
-    faults = []
-    start = time.perf_counter()
-    with tempfile.TemporaryDirectory() as tmp:
-        work = Path(tmp)
-        for name in ("src", "tests"):
-            shutil.copytree(ROOT / name, work / name,
-                            ignore=shutil.ignore_patterns("__pycache__"))
-        shutil.copy2(ROOT / "pyproject.toml", work)
+def _try(entry: tuple[str, str, str, list[str]],
+         trees: queue.SimpleQueue) -> tuple[str | None, str | None]:
+    """Run one entry on a free worker tree: its verdict line, and its fault if any."""
+    path, snippet, replacement, tests = entry
+    label = f"{path}: {snippet.strip()!r} -> {replacement.strip()!r}"
+    work = trees.get()
+    try:
+        target = work / path
+        original = target.read_text()
+        if original.count(snippet) != 1:
+            return None, f"snippet occurs {original.count(snippet)} times: {label}"
         # No bytecode: a restored file of the mutant's size, written in the same
         # second, would otherwise load the mutant's cached .pyc.
         env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPATH": str(work / "src")}
-        for path, snippet, replacement, tests in MUTANTS:
-            label = f"{path}: {snippet.strip()!r} -> {replacement.strip()!r}"
-            target = work / path
-            original = target.read_text()
-            if original.count(snippet) != 1:
-                faults.append(f"snippet occurs {original.count(snippet)} times: {label}")
-                continue
-            target.write_text(original.replace(snippet, replacement))
-            try:
-                code = subprocess.run(
-                    [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
-                    cwd=work, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-                ).returncode
-            finally:
-                target.write_text(original)
-            verdict = {0: "SURVIVED", 1: "killed", 2: "killed"}.get(code, f"pytest exit {code}")
-            print(f"{verdict}: {label}", flush=True)
-            if verdict != "killed":
-                faults.append(f"{verdict}: {label}")
+        target.write_text(original.replace(snippet, replacement))
+        try:
+            code = subprocess.run(
+                [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
+                cwd=work, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            ).returncode
+        finally:
+            target.write_text(original)
+    finally:
+        trees.put(work)
+    verdict = {0: "SURVIVED", 1: "killed", 2: "killed"}.get(code, f"pytest exit {code}")
+    line = f"{verdict}: {label}"
+    return line, None if verdict == "killed" else line
+
+
+def main() -> int:
+    faults = []
+    start = time.perf_counter()
+    jobs = min(os.cpu_count() or 1, len(MUTANTS))
+    with tempfile.TemporaryDirectory() as tmp:
+        trees: queue.SimpleQueue = queue.SimpleQueue()
+        for k in range(jobs):
+            work = Path(tmp) / str(k)
+            for name in ("src", "tests"):
+                shutil.copytree(ROOT / name, work / name,
+                                ignore=shutil.ignore_patterns("__pycache__"))
+            shutil.copy2(ROOT / "pyproject.toml", work)
+            trees.put(work)
+        with ThreadPoolExecutor(jobs) as pool:
+            for line, fault in pool.map(lambda entry: _try(entry, trees), MUTANTS):
+                if line:
+                    print(line, flush=True)
+                if fault:
+                    faults.append(fault)
     killed = len(MUTANTS) - len(faults)
-    print(f"{killed} of {len(MUTANTS)} mutants killed in {time.perf_counter() - start:.1f}s")
+    print(f"{killed} of {len(MUTANTS)} mutants killed in {time.perf_counter() - start:.1f}s "
+          f"on {jobs} worker trees")
     for fault in faults:
         print(f"FAIL {fault}", file=sys.stderr)
     return 1 if faults else 0

@@ -33,6 +33,7 @@ from ghzcc.lowerbound import (
     _s,
     _side,
     _three_bit_masks,
+    _two_colorable,
     _two_party_game,
     _xor_pull,
     carol_partition_feasible,
@@ -140,6 +141,34 @@ class TestCarolPartition:
             carol_partition_feasible(["001"], {1, 2})
 
 
+def _cycle(*words: int) -> set[tuple[int, int]]:
+    """The pairs of consecutive words, last to first included, each as (low, high)."""
+    return {(min(u, v), max(u, v)) for u, v in zip(words, words[1:] + words[:1])}
+
+
+class TestTwoColorable:
+    """Graphs that no replay case holds: every case graph has a triangle."""
+
+    @pytest.mark.parametrize("cycle", [(0, 1, 2, 3, 4), (1, 6, 3, 0, 5),
+                                       (0, 1, 2, 3, 4, 5, 6), (7, 2, 5, 0, 3, 6, 1)])
+    def test_odd_cycles_without_a_triangle_are_refused(self, cycle):
+        edges = _cycle(*cycle)
+        assert len(edges) == len(cycle) >= 5
+        assert not _two_colorable(edges)
+        assert proper_two_colorings((_s(u), _s(v)) for u, v in edges) == []
+
+    @pytest.mark.parametrize("edges", [
+        _cycle(0, 1, 2, 3, 4, 5),
+        _cycle(7, 2, 5, 0, 3, 6),
+        {(u, v) for u in range(4) for v in range(4, 8)},
+        {(3, 6)},
+        set(),
+    ], ids=["6-cycle", "6-cycle_shuffled", "K4,4", "one_pair", "no_pairs"])
+    def test_graphs_with_a_split_are_accepted(self, edges):
+        assert _two_colorable(edges)
+        assert proper_two_colorings((_s(u), _s(v)) for u, v in edges)
+
+
 class TestCaseReplay:
     def test_every_case_passes(self):
         for case_id in CASES:
@@ -205,6 +234,7 @@ class TestCaseReplay:
             feasibility = replay_case(witness.case_id).feasibility
             assert feasibility.apart == pairs, witness.case_id
             assert proper_two_colorings(pairs) == [], witness.case_id
+            assert feasibility.feasible is False, witness.case_id
             # One receiver input alone leaves a split, and the package finds it.
             for x in xs:
                 single = carol_partition_feasible([x], witness.class_members)
